@@ -4,7 +4,6 @@
 // accounting and reclaim paths.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -12,13 +11,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include <random>
-
 #include "src/base/id_slot_map.h"
 #include "src/base/sim_clock.h"
 #include "src/faas/event_queue.h"
 #include "src/faas/function_registry.h"
-#include "src/faas/heap_event_queue.h"
 #include "src/faas/instance.h"
 #include "src/hotspot/hotspot_runtime.h"
 #include "src/v8/v8_runtime.h"
@@ -145,10 +141,9 @@ BENCHMARK(BM_ReclaimCycle);
 
 // Steady-state discrete-event traffic: one Schedule + one RunNext per
 // iteration with a Request-sized capture, against a pre-grown queue. The
-// `heap_allocs_per_op` counter must read ~0 (closures never allocate —
-// that is the point of the InlineClosure representation; the residue, on
-// the order of 1e-4/op and decaying, is wheel buckets growing past a
-// previous high-water occupancy).
+// `heap_allocs_per_op` counter must read 0: closures never allocate (that
+// is the point of the InlineClosure representation), and the queue's event
+// vector is reserved up front and never grows past its standing size.
 void BM_EventQueueScheduleRunNext(benchmark::State& state) {
   EventQueue queue;
   SimClock clock;
@@ -178,79 +173,6 @@ void BM_EventQueueScheduleRunNext(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueueScheduleRunNext);
-
-// Schedule + RunNext against a large standing population of pending events,
-// timing wheel (the production EventQueue) vs the reference binary heap.
-// The heap pays O(log n) sift per operation against the standing population;
-// the wheel's cost is independent of it — that flat line across
-// 1k/100k/1M live events is the reason the wheel exists. Horizons are drawn
-// from a seeded spread of bands (sub-bucket to tens of simulated seconds) so
-// every wheel rung participates. The wheel rows also pin the amortized-zero
-// allocation property via `heap_allocs_per_op`: buckets approach their
-// high-water capacity during warmup and recycle afterwards, so the counter
-// must read orders of magnitude below one allocation per op (it cannot be
-// exactly zero — random horizon clustering keeps finding new per-bucket
-// occupancy maxima at a decaying rate).
-template <typename Queue>
-void ScheduleRunNextWithLiveEvents(benchmark::State& state) {
-  Queue queue;
-  SimClock clock;
-  const uint64_t live = static_cast<uint64_t>(state.range(0));
-  queue.Reserve(live + 16);
-  struct Payload {
-    uint64_t words[8] = {};  // 64 bytes: the size class of a captured Request
-  };
-  uint64_t sink = 0;
-  std::mt19937_64 rng(20260809);
-  const auto horizon = [&rng]() -> SimTime {
-    switch (rng() % 4) {
-      case 0: return 1 + rng() % kMillisecond;          // current / next l0 slot
-      case 1: return 1 + rng() % (50 * kMillisecond);   // deep l0
-      case 2: return 1 + rng() % (2 * kSecond);         // l1/l2 rungs
-      default: return 1 + rng() % (20 * kSecond);       // far future
-    }
-  };
-  for (uint64_t i = 0; i < live; ++i) {
-    Payload p;
-    p.words[0] = i;
-    queue.Schedule(clock.Now() + horizon(), [p, &sink] { sink += p.words[0]; });
-  }
-  // Warmup outside the timed loop: lets the wheel's buckets (and the heap's
-  // backing array) reach steady capacity so the timed region measures the
-  // recycle path, not first-growth. Sized to cycle the full standing
-  // population through the wheel several times — a bucket's vector stops
-  // growing only once it has seen its high-water occupancy.
-  const uint64_t warmup = std::max<uint64_t>(4096, 4 * live);
-  for (uint64_t i = 0; i < warmup; ++i) {
-    Payload p;
-    p.words[0] = i;
-    queue.Schedule(clock.Now() + horizon(), [p, &sink] { sink += p.words[0]; });
-    queue.RunNext(&clock);
-  }
-  uint64_t t = live;
-  const uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    Payload p;
-    p.words[0] = t++;
-    queue.Schedule(clock.Now() + horizon(), [p, &sink] { sink += p.words[0]; });
-    queue.RunNext(&clock);
-  }
-  const uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
-  state.counters["heap_allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-  state.counters["live_events"] = static_cast<double>(live);
-  benchmark::DoNotOptimize(sink);
-}
-
-void BM_WheelScheduleRunNext(benchmark::State& state) {
-  ScheduleRunNextWithLiveEvents<EventQueue>(state);
-}
-BENCHMARK(BM_WheelScheduleRunNext)->Arg(1000)->Arg(100000)->Arg(1000000);
-
-void BM_HeapScheduleRunNext(benchmark::State& state) {
-  ScheduleRunNextWithLiveEvents<HeapEventQueue>(state);
-}
-BENCHMARK(BM_HeapScheduleRunNext)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 // The Platform hot-map access pattern: dense monotonically allocated ids,
 // erase-oldest churn, point lookups. IdSlotMap (open addressing, inline

@@ -2,9 +2,8 @@
 # Times the fig09 + fig10 replay grids serially and in parallel and writes
 # BENCH_replay.json so the replay harness's wall-clock trajectory (and the
 # parallel speedup) is tracked PR over PR. Also runs the event-core
-# micro-benchmarks (timing-wheel vs binary-heap EventQueue at 1k/100k/1M live
-# events, IdSlotMap vs unordered_map churn) and publishes them under an
-# event_core section.
+# micro-benchmarks (IdSlotMap vs unordered_map churn) and publishes them
+# under an event_core section.
 #
 # Usage: scripts/bench_replay.sh [output.json]
 #   BUILD_DIR=build          cmake build directory (configured if missing)
@@ -50,7 +49,7 @@ done
 
 echo "== event-core micro-benchmarks"
 "$BUILD_DIR/bench/micro_simulator" \
-  --benchmark_filter='BM_(Wheel|Heap)ScheduleRunNext|BM_(IdSlotMap|UnorderedMap)Churn' \
+  --benchmark_filter='BM_(IdSlotMap|UnorderedMap)Churn' \
   --benchmark_out="$workdir/event_core.json" --benchmark_out_format=json > /dev/null
 
 jq -n \
@@ -94,13 +93,11 @@ jq -n \
                 (($fig09_parallel | tonumber) + ($fig10_parallel | tonumber)) * 100 | round / 100)
     },
     # ns/op for the event-core structures; informational (host-dependent),
-    # not gated. heap_allocs_per_op == 0 in the wheel rows demonstrates the
-    # zero-allocation steady state.
+    # not gated. heap_allocs_per_op shows each map's allocation traffic.
     event_core: [$event_core[0].benchmarks[]
       | {name,
          ns_per_op: (.real_time | round),
-         heap_allocs_per_op: (.heap_allocs_per_op // null),
-         live_events: (.live_events // null)}]
+         heap_allocs_per_op: (.heap_allocs_per_op // null)}]
   }' > "$OUT"
 
 echo "wrote $OUT"

@@ -1,56 +1,18 @@
 // Discrete-event scheduling for the platform simulator.
 //
-// EventQueue is a calendar-queue / hierarchical timing-wheel hybrid. The
-// previous implementation was a (time, seq) binary min-heap over a vector:
-// O(log n) per operation with cache-hostile sift paths once the headline
-// tiers hold ~1M live events. The wheel makes Schedule and RunNext amortized
-// O(1): an event is dropped into a bucket by integer division of its
-// timestamp, migrates down at most three rungs as the cursor approaches, and
-// is ordered against its bucket-mates only when its bucket becomes current.
-//
-// Geometry. Three rungs plus an overflow stash:
-//   level 0 — 256 slots of `width_` ns each, holding only the *current*
-//             level-1 window's events, one slot per bucket;
-//   level 1 — 64 buckets of 256*width_ ns, the next 63 windows;
-//   level 2 — 64 buckets of 16384*width_ ns, the next 63 level-2 windows;
-//   overflow — everything farther out (e.g. +600 s keep-alives), unsorted.
-// `width_` is self-tuning: whenever every rung is empty (including the very
-// first pop), the queue re-bases on the overflow stash and picks
-// width = 2 * span / count — about two events per level-0 slot for the
-// observed density. Tuning only at all-rungs-empty points is what makes it
-// safe: no event's bucket assignment ever changes under it.
-//
-// Lazy demotion. Entering a level-1 window pours that window's level-1
-// bucket into level-0 slots; entering a level-2 window first pours its
-// level-2 bucket into level-1, then scans the overflow stash for events that
-// are now within the wheel horizon. Each event therefore moves O(1) times
-// regardless of queue depth.
-//
-// Determinism (the argument the fingerprint suites rest on): a bucket is
-// sorted by (time, seq) exactly when it becomes current, and insertions into
-// the *current* bucket binary-insert to keep it sorted past the pop cursor.
-// Every event outside the current bucket lives in a strictly later slot, so
-// its time is strictly greater than anything inside (integer slot math:
-// bucket b covers [b*width, (b+1)*width)); equal timestamps always share a
-// slot, so the (time, seq) bucket sort reproduces the heap's FIFO tiebreak.
-// Events scheduled at or before the cursor's slot (e.g. "now" during event
-// execution) clamp into the current bucket, where the sorted insert puts
-// them exactly where the heap would have popped them. Pop order — and hence
-// every clock advance, RNG draw, and fingerprint — is byte-identical to the
-// reference heap (HeapEventQueue, asserted by the differential oracle test).
+// EventQueue is a binary min-heap over a vector, ordered by (time, seq):
+// events fire in timestamp order, and simultaneous events fire in the order
+// they were scheduled. That order is the contract every golden fingerprint
+// rests on — each clock advance and RNG draw follows from it.
 //
 // Closures are stored as InlineClosure, not std::function: the platform's
 // hot closures (a captured Request plus a `this` pointer) fit the inline
-// buffer, and every bucket vector retains its capacity across reuse, so
-// steady-state Schedule/RunNext is amortized allocation-free — the only
-// residual heap traffic is a bucket growing past its previous high-water
-// occupancy, which decays with run length (the micro benches measure
-// ~1e-4 allocations per op and falling).
+// buffer, and the event vector keeps its capacity, so steady-state
+// Schedule/RunNext is allocation-free.
 #ifndef DESICCANT_SRC_FAAS_EVENT_QUEUE_H_
 #define DESICCANT_SRC_FAAS_EVENT_QUEUE_H_
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
@@ -72,7 +34,7 @@ class EventQueue {
   using Closure = InlineClosure<88>;
 
   void Schedule(SimTime time, Closure fn, EventKind kind = EventKind::kOther) {
-    Insert(Event{time, next_seq_++, nullptr, 0, kind, std::move(fn)});
+    Push(Event{time, next_seq_++, nullptr, 0, kind, std::move(fn)});
   }
 
   // Like Schedule, but the closure body only runs if `*guard == expected`
@@ -83,42 +45,38 @@ class EventQueue {
   // `guard` must outlive the queue's events (it points at a Platform member).
   void ScheduleGuarded(SimTime time, const uint64_t* guard, uint64_t expected, Closure fn,
                        EventKind kind = EventKind::kOther) {
-    Insert(Event{time, next_seq_++, guard, expected, kind, std::move(fn)});
+    Push(Event{time, next_seq_++, guard, expected, kind, std::move(fn)});
   }
 
   // Capacity hint for callers that know their event volume up front (e.g. a
-  // trace replay scheduling one arrival per request). Bulk submission always
-  // happens before the first pop, when every event lands in the overflow
-  // stash — so that is the vector to grow.
-  void Reserve(size_t n) { overflow_.reserve(n); }
+  // trace replay scheduling one arrival per request).
+  void Reserve(size_t n) { events_.reserve(n); }
 
-  bool empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
+  bool empty() const { return events_.empty(); }
+  size_t size() const { return events_.size(); }
 
   SimTime next_time() const {
-    if (size_ == 0) [[unlikely]] {
+    if (events_.empty()) [[unlikely]] {
       std::fprintf(stderr, "EventQueue::next_time() called on an empty queue\n");
       std::abort();
     }
-    return Peek()->time;
+    return events_.front().time;
   }
 
   // Non-aborting peek for callers merging several queues (the sharded replay
   // engine's idle skip takes the min over its shards): the earliest event
   // time, or `fallback` when the queue is empty.
   SimTime NextTimeOr(SimTime fallback) const {
-    return size_ == 0 ? fallback : Peek()->time;
+    return events_.empty() ? fallback : events_.front().time;
   }
 
   // Pops the earliest event, advances the clock to it, and runs it (unless
   // its guard went stale, in which case the clock still advances).
   void RunNext(SimClock* clock) {
-    assert(size_ > 0);
-    Event* next = Peek();
-    Event event = std::move(*next);
-    ++cur_head_;
-    --l0_count_;
-    --size_;
+    assert(!events_.empty());
+    std::pop_heap(events_.begin(), events_.end(), Later{});
+    Event event = std::move(events_.back());
+    events_.pop_back();
     clock->AdvanceTo(event.time);
     if (EventProfile::Enabled()) [[unlikely]] {
       EventProfile::CountDispatch();
@@ -144,198 +102,31 @@ class EventQueue {
     Closure fn;
   };
 
-  struct ByTimeSeq {
+  // Heap comparator: "fires later" orders the max-heap primitives into a
+  // min-heap on (time, seq).
+  struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) {
-        return a.time < b.time;
+        return a.time > b.time;
       }
-      return a.seq < b.seq;
+      return a.seq > b.seq;
     }
   };
 
-  static constexpr unsigned kL0Bits = 8;  // 256 level-0 slots
-  static constexpr unsigned kL1Bits = 6;  // 64 level-1 buckets
-  static constexpr unsigned kL2Bits = 6;  // 64 level-2 buckets
-  static constexpr uint64_t kL0Mask = (1ull << kL0Bits) - 1;
-  static constexpr uint64_t kL1Mask = (1ull << kL1Bits) - 1;
-  static constexpr uint64_t kL2Mask = (1ull << kL2Bits) - 1;
-  static constexpr SimTime kMaxWidth = kSecond;
-
-  // Routes a (future-or-clamped) event into the rung its slot distance calls
-  // for, maintaining the per-rung counts. Requires `started_`.
-  void Route(Event&& e) const {
-    const uint64_t s = e.time / width_;
-    if (s <= cur_slot_) {
-      InsertCurrent(std::move(e));
-      ++l0_count_;
-      return;
-    }
-    const uint64_t w1 = s >> kL0Bits;
-    const uint64_t cw1 = cur_slot_ >> kL0Bits;
-    if (w1 == cw1) {
-      slots0_[s & kL0Mask].push_back(std::move(e));
-      ++l0_count_;
-      return;
-    }
-    if (w1 - cw1 < (1ull << kL1Bits)) {
-      // Window uniqueness: w1 - cw1 in [1, 63], and w1 == cw1 (mod 64) would
-      // need a distance of 64+ — so no level-1 bucket ever mixes windows.
-      l1_[w1 & kL1Mask].push_back(std::move(e));
-      ++l1_count_;
-      return;
-    }
-    const uint64_t w2 = s >> (kL0Bits + kL1Bits);
-    const uint64_t cw2 = cur_slot_ >> (kL0Bits + kL1Bits);
-    if (w2 - cw2 < (1ull << kL2Bits)) {
-      l2_[w2 & kL2Mask].push_back(std::move(e));
-      ++l2_count_;
-      return;
-    }
-    overflow_.push_back(std::move(e));
-  }
-
-  // Insert into the current bucket, preserving sortedness if the bucket has
-  // already been sorted for popping (binary insert past the pop cursor —
-  // exactly where the reference heap would pop this event).
-  void InsertCurrent(Event&& e) const {
-    std::vector<Event>& b = slots0_[cur_slot_ & kL0Mask];
-    if (cur_sorted_) {
-      auto pos = std::upper_bound(b.begin() + cur_head_, b.end(), e, ByTimeSeq{});
-      b.insert(pos, std::move(e));
-    } else {
-      b.push_back(std::move(e));
+  // Appends and sifts up. Setup submits arrivals in time order, so the new
+  // event usually already belongs at the back; push_heap would still move
+  // the 88-byte closure out and back, so it runs only when the event comes
+  // before its parent. (time, seq) is a strict total order, so the heap —
+  // and the pop order — is the same either way.
+  void Push(Event&& e) {
+    events_.push_back(std::move(e));
+    const size_t n = events_.size();
+    if (n > 1 && Later{}(events_[(n - 2) / 2], events_.back())) {
+      std::push_heap(events_.begin(), events_.end(), Later{});
     }
   }
 
-  void Insert(Event&& e) {
-    ++size_;
-    if (!started_) {
-      // No width chosen yet: stash everything; the first pop re-bases and
-      // tunes the bucket width from the observed bulk load.
-      overflow_.push_back(std::move(e));
-      return;
-    }
-    Route(std::move(e));
-  }
-
-  // All rungs are empty (or the queue is unstarted): pick a bucket width
-  // from the overflow stash's density, park the cursor at its earliest
-  // event, and pull everything within the wheel horizon down into the rungs.
-  void Rebase() const {
-    assert(!overflow_.empty());
-    assert(l0_count_ == 0 && l1_count_ == 0 && l2_count_ == 0);
-    SimTime lo = overflow_.front().time;
-    SimTime hi = lo;
-    for (const Event& e : overflow_) {
-      lo = std::min(lo, e.time);
-      hi = std::max(hi, e.time);
-    }
-    const uint64_t span = hi - lo;
-    width_ = std::clamp<SimTime>(2 * span / overflow_.size(), 1, kMaxWidth);
-    cur_slot_ = lo / width_;
-    cur_head_ = 0;
-    cur_sorted_ = false;
-    started_ = true;
-    PromoteOverflow();
-  }
-
-  // Moves every overflow event now within the wheel horizon into the rungs,
-  // compacting the stash in place.
-  void PromoteOverflow() const {
-    const uint64_t cw2 = cur_slot_ >> (kL0Bits + kL1Bits);
-    size_t keep = 0;
-    for (Event& e : overflow_) {
-      const uint64_t w2 = e.time / width_ >> (kL0Bits + kL1Bits);
-      if (w2 >= cw2 && w2 - cw2 >= (1ull << kL2Bits)) {
-        overflow_[keep++] = std::move(e);
-      } else {
-        Route(std::move(e));
-      }
-    }
-    overflow_.resize(keep);
-  }
-
-  // Pours a higher-rung bucket down through Route (level 2 -> level 1 /
-  // level 0; level 1 -> level 0). The bucket keeps its capacity for reuse.
-  void Distribute(std::vector<Event>& bucket, uint64_t& level_count) const {
-    level_count -= bucket.size();
-    for (Event& e : bucket) {
-      Route(std::move(e));
-    }
-    bucket.clear();
-  }
-
-  // Current bucket exhausted and the current window drained: move the cursor
-  // to the next window holding events, pouring rung buckets on the way.
-  void AdvanceWindow() const {
-    uint64_t w = (cur_slot_ >> kL0Bits) + 1;
-    if (l1_count_ == 0) {
-      // Nothing before the next level-2 boundary; jump straight to it.
-      w = ((w + kL1Mask) >> kL1Bits) << kL1Bits;
-    }
-    cur_slot_ = w << kL0Bits;
-    cur_head_ = 0;
-    cur_sorted_ = false;
-    if ((w & kL1Mask) == 0) {
-      Distribute(l2_[(w >> kL1Bits) & kL2Mask], l2_count_);
-      if (!overflow_.empty()) {
-        PromoteOverflow();
-      }
-    }
-    Distribute(l1_[w & kL1Mask], l1_count_);
-  }
-
-  // Returns the earliest event, advancing cursor/rungs as needed. Requires
-  // size_ > 0. Logically const (and called from const peeks): the wheel's
-  // internal reorganization is invisible to callers, hence the mutable state.
-  Event* Peek() const {
-    if (!started_) {
-      Rebase();
-    }
-    while (true) {
-      std::vector<Event>& b = slots0_[cur_slot_ & kL0Mask];
-      if (cur_head_ < b.size()) {
-        if (!cur_sorted_) {
-          std::sort(b.begin() + cur_head_, b.end(), ByTimeSeq{});
-          cur_sorted_ = true;
-        }
-        return &b[cur_head_];
-      }
-      b.clear();  // keeps capacity for the slot's next rotation
-      cur_head_ = 0;
-      cur_sorted_ = false;
-      if (l0_count_ > 0) {
-        // Level 0 only ever holds the current window, so a non-empty slot
-        // exists before the window boundary.
-        do {
-          ++cur_slot_;
-        } while (slots0_[cur_slot_ & kL0Mask].empty());
-        continue;
-      }
-      if (l1_count_ == 0 && l2_count_ == 0) {
-        Rebase();  // only far-future events remain: re-tune for them
-        continue;
-      }
-      AdvanceWindow();
-    }
-  }
-
-  // The wheel reorganizes lazily under const peeks (next_time/NextTimeOr are
-  // const, hot, and must not force callers to change): all wheel state is
-  // mutable, while the externally observable state (size_, next_seq_) is not.
-  mutable std::array<std::vector<Event>, 1ull << kL0Bits> slots0_;
-  mutable std::array<std::vector<Event>, 1ull << kL1Bits> l1_;
-  mutable std::array<std::vector<Event>, 1ull << kL2Bits> l2_;
-  mutable std::vector<Event> overflow_;
-  mutable uint64_t l0_count_ = 0;
-  mutable uint64_t l1_count_ = 0;
-  mutable uint64_t l2_count_ = 0;
-  mutable SimTime width_ = 1;
-  mutable uint64_t cur_slot_ = 0;
-  mutable uint32_t cur_head_ = 0;
-  mutable bool cur_sorted_ = false;
-  mutable bool started_ = false;
-  size_t size_ = 0;
+  std::vector<Event> events_;
   uint64_t next_seq_ = 0;
 };
 

@@ -363,9 +363,8 @@ bool Platform::TryRun(const Request& request) {
 
   const uint64_t id = next_instance_id_++;
   auto instance = std::make_unique<Instance>(
-      id, request.workload, request.stage, config_.instance_memory_budget,
-      config_.share_runtime_images ? &registry_ : nullptr, rng_.NextU64(),
-      config_.java_collector, physical_.get());
+      id, request.workload, request.stage, config_.instance_memory_budget, &registry_,
+      rng_.NextU64(), config_.java_collector, physical_.get());
   instance->set_function_id(function);
 
   // Boot cost: a plain cold boot, the legacy flat-cost SnapStart restore, or
@@ -1311,8 +1310,7 @@ void Platform::ProvisionConcurrency(const WorkloadSpec* workload, uint32_t count
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t id = next_instance_id_++;
     auto instance = std::make_unique<Instance>(
-        id, workload, /*stage=*/0, config_.instance_memory_budget,
-        config_.share_runtime_images ? &registry_ : nullptr, rng_.NextU64(),
+        id, workload, /*stage=*/0, config_.instance_memory_budget, &registry_, rng_.NextU64(),
         config_.java_collector, physical_.get());
     instance->set_function_id(functions_.Intern(workload, /*stage=*/0));
     const SimTime boot_wall = config_.container_create_cost + instance->BootCost();
@@ -1366,10 +1364,9 @@ void Platform::MaintainPrewarmPool(Language language) {
     // consumed one draw; keep the draw so the platform RNG stream position
     // (and with it every downstream table) stays byte-identical.
     (void)rng_.NextU64();
-    auto instance = std::make_unique<Instance>(
-        id, language, config_.instance_memory_budget,
-        config_.share_runtime_images ? &registry_ : nullptr,
-        config_.java_collector, physical_.get());
+    auto instance = std::make_unique<Instance>(id, language, config_.instance_memory_budget,
+                                               &registry_, config_.java_collector,
+                                               physical_.get());
     const SimTime boot_wall = config_.container_create_cost + instance->BootCost();
     instances_.emplace(id, std::move(instance));
     running_committed_ += config_.instance_memory_budget;

@@ -64,8 +64,6 @@ struct PlatformConfig {
   SimTime container_create_cost = 280 * kMillisecond;
   SimTime thaw_cost = 3 * kMillisecond;
   SimTime keep_alive = 600 * kSecond;
-  // False models Lambda (§5.4): no library sharing between instances.
-  bool share_runtime_images = true;
   MemoryMode mode = MemoryMode::kVanilla;
   // SnapStart-style cold starts (§2.1): instead of creating a container and
   // booting the runtime, a snapshot is restored. Restores are faster than

@@ -287,6 +287,11 @@ uint64_t VirtualAddressSpace::SwapOutPagesLimited(uint64_t max_pages, uint64_t m
     if (!r.live) {
       continue;
     }
+    if (written >= max_swap_writes && r.clean_pages == 0) {
+      // The swap device is full and the region holds no clean file page:
+      // nothing in it can go, so skip the word scan.
+      continue;
+    }
     for (uint64_t w = 0; w < r.pages.num_words() && reclaimed < max_pages; ++w) {
       uint64_t& lo = r.pages.lo(w);
       uint64_t& hi = r.pages.hi(w);

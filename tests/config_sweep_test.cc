@@ -3,6 +3,8 @@
 // liveness, keep residency above the live set, and reclaim must stay sound.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/base/rng.h"
 #include "src/base/sim_clock.h"
 #include "src/cpython/cpython_runtime.h"
@@ -52,12 +54,18 @@ void ExerciseRuntime(RuntimeT& runtime, SimClock& clock, uint64_t seed) {
 
 // ----- HotSpot: NewRatio x SurvivorRatio x initial sizes -----
 
+// gtest prints a parameter struct without a PrintTo as its raw bytes, and
+// those bytes name the case (and its ctest entry). The parameter structs
+// therefore carry no padding: uninitialised padding bytes would give the same
+// case a different name in every process. That is why the tenuring
+// thresholds are wider here than in the configs they feed.
 struct HotSpotSweepParams {
   uint32_t new_ratio;
   uint32_t survivor_ratio;
   uint64_t initial_young_mib;
-  uint8_t tenuring;
+  uint64_t tenuring;
 };
+static_assert(std::has_unique_object_representations_v<HotSpotSweepParams>);
 
 class HotSpotSweepTest : public ::testing::TestWithParam<HotSpotSweepParams> {};
 
@@ -67,7 +75,7 @@ TEST_P(HotSpotSweepTest, InvariantsHold) {
   config.new_ratio = p.new_ratio;
   config.survivor_ratio = p.survivor_ratio;
   config.initial_young_bytes = p.initial_young_mib * kMiB;
-  config.tenuring_threshold = p.tenuring;
+  config.tenuring_threshold = static_cast<uint8_t>(p.tenuring);
   SharedFileRegistry registry;
   SimClock clock;
   VirtualAddressSpace vas(&registry);
@@ -90,6 +98,7 @@ struct V8SweepParams {
   uint64_t max_semispace_mib;
   double shrink_rate_mib_per_s;
 };
+static_assert(sizeof(V8SweepParams) == 3 * sizeof(uint64_t));  // no padding
 
 class V8SweepTest : public ::testing::TestWithParam<V8SweepParams> {};
 
@@ -117,9 +126,10 @@ INSTANTIATE_TEST_SUITE_P(Configs, V8SweepTest,
 
 struct G1SweepParams {
   uint32_t young_target;
-  uint8_t tenuring;
+  uint32_t tenuring;
   uint32_t threads;
 };
+static_assert(std::has_unique_object_representations_v<G1SweepParams>);
 
 class G1SweepTest : public ::testing::TestWithParam<G1SweepParams> {};
 
@@ -127,7 +137,7 @@ TEST_P(G1SweepTest, InvariantsHold) {
   const G1SweepParams p = GetParam();
   G1Config config = G1Config::ForInstanceBudget(256 * kMiB);
   config.young_target_regions = p.young_target;
-  config.tenuring_threshold = p.tenuring;
+  config.tenuring_threshold = static_cast<uint8_t>(p.tenuring);
   config.gc_threads = p.threads;
   SharedFileRegistry registry;
   SimClock clock;

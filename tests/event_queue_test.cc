@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/faas/event_queue.h"
-#include "src/faas/heap_event_queue.h"
 
 #include <random>
 
@@ -192,16 +191,68 @@ TEST(EventQueueTest, StaleGuardedEventStillAdvancesClock) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential oracle: the timing wheel vs. the reference heap.
+// Differential oracle: EventQueue vs. a brute-force reference.
 //
-// HeapEventQueue is the pre-wheel implementation, kept verbatim; its pop
-// order *defines* the EventQueue contract (the golden fingerprints were all
-// captured against it). Both queues are driven by the same seeded random
-// script — duplicate timestamps, guarded events that go stale, events that
-// schedule more events (including at the current instant) from inside their
-// closures, far-future keep-alive-style events that exercise the overflow
-// stash, and a bulk Reserve()d pre-load — and must produce byte-identical
+// ReferenceQueue keeps its pending events in an unordered vector and pops by
+// a linear scan for the minimum (time, seq), checking the guard at pop time:
+// the EventQueue contract written as plainly as possible (the golden
+// fingerprints all rest on this order). Both queues are driven by the same
+// seeded random script — duplicate timestamps, guarded events that are born
+// stale or go stale, events that schedule more events (including at the
+// current instant) from inside their closures, far-future keep-alive-style
+// events, and a bulk Reserve()d pre-load — and must produce identical
 // fired-id and clock-advance sequences.
+
+class ReferenceQueue {
+ public:
+  void Schedule(SimTime time, EventQueue::Closure fn) {
+    pending_.push_back(Pending{time, next_seq_++, nullptr, 0, std::move(fn)});
+  }
+  void ScheduleGuarded(SimTime time, const uint64_t* guard, uint64_t expected,
+                       EventQueue::Closure fn) {
+    pending_.push_back(Pending{time, next_seq_++, guard, expected, std::move(fn)});
+  }
+  void Reserve(size_t n) { pending_.reserve(n); }
+  bool empty() const { return pending_.empty(); }
+  size_t size() const { return pending_.size(); }
+  SimTime NextTimeOr(SimTime fallback) const {
+    return pending_.empty() ? fallback : pending_[Earliest()].time;
+  }
+  void RunNext(SimClock* clock) {
+    const size_t i = Earliest();
+    Pending event = std::move(pending_[i]);
+    pending_[i] = std::move(pending_.back());  // unordered: seq keeps FIFO ties
+    pending_.pop_back();
+    clock->AdvanceTo(event.time);
+    if (event.guard == nullptr || *event.guard == event.expected) {
+      event.fn();
+    }
+  }
+
+ private:
+  struct Pending {
+    SimTime time;
+    uint64_t seq;
+    const uint64_t* guard;
+    uint64_t expected;
+    EventQueue::Closure fn;
+  };
+
+  size_t Earliest() const {
+    size_t best = 0;
+    for (size_t i = 1; i < pending_.size(); ++i) {
+      const Pending& a = pending_[i];
+      const Pending& b = pending_[best];
+      if (a.time < b.time || (a.time == b.time && a.seq < b.seq)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  std::vector<Pending> pending_;
+  uint64_t next_seq_ = 0;
+};
 
 template <typename Queue>
 struct OracleDriver {
@@ -234,8 +285,7 @@ struct OracleDriver {
       ++epoch;  // invalidates every live guarded event scheduled before now
     }
     if (id % 7 == 0) {
-      // Schedule from inside an event, sometimes at the current instant —
-      // the wheel must clamp these into the in-flight bucket.
+      // Schedule from inside an event, sometimes at the current instant.
       ScheduleOne(clock.Now() + (id % 5) * 100, id % 3 == 0 ? 1 : 0);
     }
   }
@@ -247,7 +297,7 @@ struct OracleDriver {
   }
 };
 
-TEST(EventQueueOracleTest, WheelMatchesHeapOver100kRandomOps) {
+TEST(EventQueueOracleTest, MatchesBruteForceReferenceOver100kRandomOps) {
   struct Op {
     SimTime delta;
     int guard_mode;  // -1 = run instead of schedule
@@ -265,7 +315,7 @@ TEST(EventQueueOracleTest, WheelMatchesHeapOver100kRandomOps) {
         case 2: delta = static_cast<SimTime>(rng() % kMillisecond); break;
         case 3: delta = static_cast<SimTime>(rng() % (50 * kMillisecond)); break;
         case 4: delta = static_cast<SimTime>(rng() % (2 * kSecond)); break;
-        default:  // keep-alive band: far past the wheel horizon
+        default:  // keep-alive band: ~600 s out
           delta = 600 * kSecond + static_cast<SimTime>(rng() % kSecond);
           break;
       }
@@ -275,47 +325,46 @@ TEST(EventQueueOracleTest, WheelMatchesHeapOver100kRandomOps) {
     }
   }
 
-  OracleDriver<EventQueue> wheel;
-  OracleDriver<HeapEventQueue> heap;
-  wheel.queue.Reserve(4096);
-  heap.queue.Reserve(4096);
-  // Bulk pre-load before the first pop: everything lands in the overflow
-  // stash and the first Peek() has to re-base the wheel around it.
+  OracleDriver<EventQueue> actual;
+  OracleDriver<ReferenceQueue> reference;
+  actual.queue.Reserve(4096);
+  reference.queue.Reserve(4096);
+  // Bulk pre-load before the first pop, in random time order.
   for (uint64_t i = 0; i < 512; ++i) {
     const SimTime t = static_cast<SimTime>(rng() % (700 * kSecond));
-    wheel.ScheduleOne(t, static_cast<int>(i % 3));
-    heap.ScheduleOne(t, static_cast<int>(i % 3));
+    actual.ScheduleOne(t, static_cast<int>(i % 3));
+    reference.ScheduleOne(t, static_cast<int>(i % 3));
   }
 
   for (const Op& op : script) {
     if (op.guard_mode < 0) {
-      if (!wheel.queue.empty()) {
-        wheel.RunOne();
+      if (!actual.queue.empty()) {
+        actual.RunOne();
       }
-      if (!heap.queue.empty()) {
-        heap.RunOne();
+      if (!reference.queue.empty()) {
+        reference.RunOne();
       }
     } else {
-      wheel.ScheduleOne(wheel.clock.Now() + op.delta, op.guard_mode);
-      heap.ScheduleOne(heap.clock.Now() + op.delta, op.guard_mode);
+      actual.ScheduleOne(actual.clock.Now() + op.delta, op.guard_mode);
+      reference.ScheduleOne(reference.clock.Now() + op.delta, op.guard_mode);
     }
-    ASSERT_EQ(wheel.queue.size(), heap.queue.size());
+    ASSERT_EQ(actual.queue.size(), reference.queue.size());
   }
-  while (!wheel.queue.empty()) {
-    wheel.RunOne();
+  while (!actual.queue.empty()) {
+    actual.RunOne();
   }
-  while (!heap.queue.empty()) {
-    heap.RunOne();
+  while (!reference.queue.empty()) {
+    reference.RunOne();
   }
 
-  ASSERT_EQ(wheel.next_id, heap.next_id);
-  ASSERT_EQ(wheel.epoch, heap.epoch);
-  ASSERT_EQ(wheel.fired.size(), heap.fired.size());
-  for (size_t i = 0; i < wheel.fired.size(); ++i) {
-    ASSERT_EQ(wheel.fired[i], heap.fired[i]) << "divergence at pop " << i;
+  ASSERT_EQ(actual.next_id, reference.next_id);
+  ASSERT_EQ(actual.epoch, reference.epoch);
+  ASSERT_EQ(actual.fired.size(), reference.fired.size());
+  for (size_t i = 0; i < actual.fired.size(); ++i) {
+    ASSERT_EQ(actual.fired[i], reference.fired[i]) << "divergence at pop " << i;
   }
-  ASSERT_EQ(wheel.advances, heap.advances);
-  EXPECT_EQ(wheel.clock.Now(), heap.clock.Now());
+  ASSERT_EQ(actual.advances, reference.advances);
+  EXPECT_EQ(actual.clock.Now(), reference.clock.Now());
 }
 
 // ---------------------------------------------------------------------------

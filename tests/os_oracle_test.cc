@@ -469,5 +469,84 @@ TEST(OsOracleTest, SecondSeedMatchesBruteForce) {
   harness.RunOps(3000);
 }
 
+// ---------------------------------------------------------------------------
+// Bounded swap with a full device: dirty pages have nowhere to go, so a region
+// without clean file pages must come out of SwapOutPagesLimited untouched.
+
+// Everything observable about a space: totals, per-region smaps, and the
+// residency of every single page.
+struct SpaceSnapshot {
+  MemoryUsage usage;
+  std::vector<RegionInfo> smaps;
+  std::vector<uint64_t> resident_by_page;
+};
+
+SpaceSnapshot Snapshot(const VirtualAddressSpace& vas) {
+  SpaceSnapshot snap;
+  snap.usage = vas.Usage();
+  snap.smaps = vas.Smaps();
+  for (const RegionInfo& info : snap.smaps) {
+    for (uint64_t off = 0; off < info.size_bytes; off += kPageSize) {
+      snap.resident_by_page.push_back(vas.ResidentPagesInRange(info.id, off, kPageSize));
+    }
+  }
+  return snap;
+}
+
+void ExpectSameSpace(const SpaceSnapshot& a, const SpaceSnapshot& b) {
+  EXPECT_EQ(a.usage.rss, b.usage.rss);
+  EXPECT_EQ(a.usage.uss, b.usage.uss);
+  EXPECT_EQ(a.usage.pss, b.usage.pss);
+  EXPECT_EQ(a.usage.swapped, b.usage.swapped);
+  ASSERT_EQ(a.smaps.size(), b.smaps.size());
+  for (size_t i = 0; i < a.smaps.size(); ++i) {
+    EXPECT_EQ(a.smaps[i].private_dirty, b.smaps[i].private_dirty);
+    EXPECT_EQ(a.smaps[i].private_clean, b.smaps[i].private_clean);
+    EXPECT_EQ(a.smaps[i].shared_clean, b.smaps[i].shared_clean);
+    EXPECT_EQ(a.smaps[i].swapped, b.smaps[i].swapped);
+    EXPECT_EQ(a.smaps[i].never_written, b.smaps[i].never_written);
+  }
+  EXPECT_EQ(a.resident_by_page, b.resident_by_page);
+}
+
+TEST(OsOracleTest, FullSwapDeviceLeavesDirtyOnlyRegionsUntouched) {
+  SharedFileRegistry registry;
+  const FileId lib = registry.RegisterFile("libjvm.so", 96 * kPageSize);
+  VirtualAddressSpace vas(&registry);
+  const RegionId heap = vas.MapAnonymous("heap", 150 * kPageSize);
+  ASSERT_EQ(vas.Touch(heap, 0, 150 * kPageSize, /*write=*/true).minor_faults, 150u);
+  // A file mapping whose every page was written (COW): dirty, no clean page.
+  const RegionId cow = vas.MapFile("cow", lib);
+  vas.Touch(cow, 0, 96 * kPageSize, /*write=*/true);
+  // A partly swapped region: some pages already on the device.
+  const RegionId old_gen = vas.MapAnonymous("old", 64 * kPageSize);
+  vas.Touch(old_gen, 0, 64 * kPageSize, /*write=*/true);
+  ASSERT_EQ(vas.SwapOutPagesLimited(~0ull, 20, nullptr), 20u);
+  const SpaceSnapshot before = Snapshot(vas);
+
+  uint64_t writes = 99;
+  EXPECT_EQ(vas.SwapOutPagesLimited(~0ull, 0, &writes), 0u);
+  EXPECT_EQ(writes, 0u);
+  ExpectSameSpace(before, Snapshot(vas));
+}
+
+TEST(OsOracleTest, FullSwapDeviceStillDropsCleanFilePages) {
+  SharedFileRegistry registry;
+  const FileId lib = registry.RegisterFile("node", 130 * kPageSize);
+  VirtualAddressSpace vas(&registry);
+  const RegionId heap = vas.MapAnonymous("heap", 40 * kPageSize);
+  vas.Touch(heap, 0, 40 * kPageSize, /*write=*/true);
+  const RegionId text = vas.MapFile("text", lib);
+  vas.Touch(text, 0, 130 * kPageSize, /*write=*/false);
+  vas.Touch(text, 0, 10 * kPageSize, /*write=*/true);  // 10 COW, 120 clean
+
+  uint64_t writes = 99;
+  EXPECT_EQ(vas.SwapOutPagesLimited(~0ull, 0, &writes), 120u);
+  EXPECT_EQ(writes, 0u);
+  EXPECT_EQ(vas.ResidentPagesInRegion(heap), 40u);
+  EXPECT_EQ(vas.ResidentPagesInRegion(text), 10u);
+  EXPECT_EQ(vas.Usage().swapped, 0u);
+}
+
 }  // namespace
 }  // namespace desiccant

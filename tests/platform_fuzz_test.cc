@@ -11,6 +11,8 @@
 //     the per-event accounting invariants stay green throughout.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/base/rng.h"
 #include "src/core/desiccant_manager.h"
 #include "src/faas/cluster.h"
@@ -20,13 +22,19 @@
 namespace desiccant {
 namespace {
 
+// gtest prints a parameter struct without a PrintTo as its raw bytes, and
+// those bytes name the case (and its ctest entry). The parameter structs
+// therefore carry no padding: uninitialised padding bytes would give the same
+// case a different name in every process.
 struct FuzzParams {
   uint64_t seed;
-  MemoryMode mode;
   uint64_t cache_mib;
-  uint32_t prewarm;
+  uint64_t prewarm;
+  MemoryMode mode;
   bool snapstart;
+  uint8_t zero_tail[6] = {};
 };
+static_assert(std::has_unique_object_representations_v<FuzzParams>);
 
 class PlatformFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
@@ -37,7 +45,7 @@ TEST_P(PlatformFuzzTest, InvariantsHoldUnderRandomTraffic) {
   config.cache_capacity_bytes = params.cache_mib * kMiB;
   config.cpu_cores = 3.0;
   config.keep_alive = 90 * kSecond;
-  config.prewarm_per_language = params.prewarm;
+  config.prewarm_per_language = static_cast<uint32_t>(params.prewarm);
   config.snapstart_restore = params.snapstart;
   config.seed = params.seed;
   Platform platform(config);
@@ -95,16 +103,16 @@ TEST_P(PlatformFuzzTest, InvariantsHoldUnderRandomTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, PlatformFuzzTest,
-    ::testing::Values(FuzzParams{1, MemoryMode::kVanilla, 1024, 0, false},
-                      FuzzParams{2, MemoryMode::kEager, 1024, 0, false},
-                      FuzzParams{3, MemoryMode::kDesiccant, 1024, 0, false},
-                      FuzzParams{4, MemoryMode::kDesiccant, 512, 0, false},
-                      FuzzParams{5, MemoryMode::kVanilla, 512, 2, false},
-                      FuzzParams{6, MemoryMode::kDesiccant, 512, 2, false},
-                      FuzzParams{7, MemoryMode::kVanilla, 1024, 0, true},
-                      FuzzParams{8, MemoryMode::kDesiccant, 256, 1, true},
-                      FuzzParams{9, MemoryMode::kEager, 256, 0, false},
-                      FuzzParams{10, MemoryMode::kDesiccant, 2048, 3, false}));
+    ::testing::Values(FuzzParams{1, 1024, 0, MemoryMode::kVanilla, false},
+                      FuzzParams{2, 1024, 0, MemoryMode::kEager, false},
+                      FuzzParams{3, 1024, 0, MemoryMode::kDesiccant, false},
+                      FuzzParams{4, 512, 0, MemoryMode::kDesiccant, false},
+                      FuzzParams{5, 512, 2, MemoryMode::kVanilla, false},
+                      FuzzParams{6, 512, 2, MemoryMode::kDesiccant, false},
+                      FuzzParams{7, 1024, 0, MemoryMode::kVanilla, true},
+                      FuzzParams{8, 256, 1, MemoryMode::kDesiccant, true},
+                      FuzzParams{9, 256, 0, MemoryMode::kEager, false},
+                      FuzzParams{10, 2048, 3, MemoryMode::kDesiccant, false}));
 
 // ---------------------------------------------------------------------------
 // Chaos layer: random FaultPlans on top of random traffic.
@@ -141,7 +149,9 @@ FaultPlan ChaosPlan(Rng& rng) {
 struct ChaosParams {
   uint64_t seed;
   MemoryMode mode;
+  uint8_t zero_tail[7] = {};  // explicit, zeroed padding (see FuzzParams)
 };
+static_assert(std::has_unique_object_representations_v<ChaosParams>);
 
 class ChaosFuzzTest : public ::testing::TestWithParam<ChaosParams> {};
 

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "src/trace/trace_import.h"
+#include "tests/temp_path.h"
 
 namespace desiccant {
 namespace {
@@ -12,8 +13,8 @@ namespace {
 class TraceImportTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    counts_path_ = ::testing::TempDir() + "/invocations.csv";
-    durations_path_ = ::testing::TempDir() + "/durations.csv";
+    counts_path_ = UniqueTempPath("invocations.csv");
+    durations_path_ = UniqueTempPath("durations.csv");
     // Three functions, five minutes of counts.
     std::ofstream counts(counts_path_);
     counts << "HashOwner,HashApp,HashFunction,Trigger,1,2,3,4,5\n"
@@ -27,6 +28,11 @@ class TraceImportTest : public ::testing::Test {
               << "o1,a1,fB,0.9,500\n"
               << "o2,a2,fC,95.0,42\n";
     durations.close();
+  }
+
+  void TearDown() override {
+    std::remove(counts_path_.c_str());
+    std::remove(durations_path_.c_str());
   }
 
   std::string counts_path_;
@@ -51,13 +57,14 @@ TEST_F(TraceImportTest, MissingFileReportsError) {
 }
 
 TEST_F(TraceImportTest, MalformedHeaderReportsError) {
-  const std::string bad = ::testing::TempDir() + "/bad.csv";
+  const std::string bad = UniqueTempPath("bad.csv");
   std::ofstream out(bad);
   out << "a,b,c\nx,y,z\n";
   out.close();
   std::string error;
   EXPECT_TRUE(LoadAzureInvocationCounts(bad, &error).empty());
   EXPECT_NE(error.find("HashFunction"), std::string::npos);
+  std::remove(bad.c_str());
 }
 
 TEST_F(TraceImportTest, MatchesByClosestDuration) {

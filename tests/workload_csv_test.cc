@@ -1,10 +1,12 @@
 // Tests for the custom-workload CSV loader.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 
 #include "src/faas/single_study.h"
 #include "src/workloads/workload_csv.h"
+#include "tests/temp_path.h"
 
 namespace desiccant {
 namespace {
@@ -16,10 +18,15 @@ constexpr char kHeader[] =
 class WorkloadCsvTest : public ::testing::Test {
  protected:
   std::string WriteCsv(const std::string& body) {
-    const std::string path = ::testing::TempDir() + "/workloads.csv";
+    const std::string path = UniqueTempPath("workloads.csv");
     std::ofstream out(path);
     out << kHeader << body;
     return path;
+  }
+
+  void TearDown() override {
+    std::remove(UniqueTempPath("workloads.csv").c_str());
+    std::remove(UniqueTempPath("bad.csv").c_str());
   }
 };
 
@@ -53,7 +60,7 @@ TEST_F(WorkloadCsvTest, LoadsChains) {
 }
 
 TEST_F(WorkloadCsvTest, RejectsBadHeader) {
-  const std::string path = ::testing::TempDir() + "/bad.csv";
+  const std::string path = UniqueTempPath("bad.csv");
   std::ofstream(path) << "name,foo\nx,y\n";
   std::string error;
   EXPECT_TRUE(LoadWorkloadsCsv(path, &error).empty());

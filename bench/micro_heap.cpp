@@ -1,6 +1,7 @@
 // Microbenchmarks of the heap-simulator inner loops (real wall-clock timing,
 // like micro_simulator/micro_os): the steady-state young-GC cycle, the
-// batched cluster-allocation fast path, and one fig09 replay cell end to end.
+// batched cluster-allocation fast path, warm invocations of Table 1
+// functions, and one fig09 replay cell end to end.
 //
 // The Legacy/Epoch pair rebuilds the pre-epoch collector inner loop from the
 // same public primitives (bool-style marking with an end-of-GC unmark sweep,
@@ -15,6 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "src/base/sim_clock.h"
+#include "src/faas/instance.h"
 #include "src/heap/contiguous_space.h"
 #include "src/heap/object.h"
 #include "src/heap/roots.h"
@@ -338,6 +340,41 @@ void BM_HotSpotClusterBatched(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kClusterSize * 512);
 }
 BENCHMARK(BM_HotSpotClusterBatched);
+
+// ---------------------------------------------------------------------------
+// One warm invocation of a Table 1 function through Instance::Execute: the
+// program's batched churn loop, the runtime's allocation paths and
+// collections, and the heap→OS touch watermark together. After warmup a
+// HotSpot invocation performs zero host-heap allocations (asserted in CI). A
+// V8 invocation does not: each chunk the V8 model maps anew allocates its
+// Chunk, region entry and object list, which for dynamic-html happens about
+// once per 20-50 invocations. CI therefore bounds V8 below one allocation
+// per invocation, a bound that per-invocation scratch in the churn loop
+// would break.
+
+void WarmInvoke(benchmark::State& state, const char* workload) {
+  SharedFileRegistry registry;
+  Instance instance(1, FindWorkload(workload), /*stage=*/0, 256 * kMiB, &registry,
+                    /*seed=*/1);
+  // Warm past JIT warmup and several collections, so every pool, space and
+  // scratch buffer has reached its steady-state capacity.
+  for (int i = 0; i < 40; ++i) {
+    instance.Execute();
+  }
+  const uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(instance.Execute());
+  }
+  const uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["heap_allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+}
+
+void BM_WarmInvokeHotSpot(benchmark::State& state) { WarmInvoke(state, "sort"); }
+BENCHMARK(BM_WarmInvokeHotSpot)->Unit(benchmark::kMicrosecond);
+
+void BM_WarmInvokeV8(benchmark::State& state) { WarmInvoke(state, "dynamic-html"); }
+BENCHMARK(BM_WarmInvokeV8)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // One small fig09 replay cell end to end (desiccant mode), the macro view of

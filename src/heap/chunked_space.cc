@@ -17,7 +17,7 @@ void AccumulateTouch(TouchResult* into, const TouchResult& t) { into->Accumulate
 Chunk::Chunk(VirtualAddressSpace* vas, std::string name) : vas_(vas) {
   region_ = vas_->MapAnonymous(std::move(name), kChunkSize);
   // The metadata page is written when the chunk is wired up.
-  vas_->Touch(region_, 0, kChunkMetadataBytes, /*write=*/true);
+  touched_.WriteTouch(vas_, region_, 0, kChunkMetadataBytes);
 }
 
 Chunk::~Chunk() { vas_->Unmap(region_); }
@@ -27,7 +27,7 @@ bool Chunk::BumpAllocate(SimObject* obj, TouchResult* faults) {
     return false;
   }
   obj->address = bump_;
-  AccumulateTouch(faults, vas_->Touch(region_, bump_, obj->size, /*write=*/true));
+  AccumulateTouch(faults, touched_.WriteTouch(vas_, region_, bump_, obj->size));
   bump_ += obj->size;
   objects_.push_back(obj);
   return true;
@@ -36,7 +36,7 @@ bool Chunk::BumpAllocate(SimObject* obj, TouchResult* faults) {
 void Chunk::BumpAllocateSpan(SimObject* const* objs, size_t count, uint64_t total,
                              TouchResult* faults) {
   assert(bump_ + total <= kChunkSize);
-  AccumulateTouch(faults, vas_->Touch(region_, bump_, total, /*write=*/true));
+  AccumulateTouch(faults, touched_.WriteTouch(vas_, region_, bump_, total));
   for (size_t i = 0; i < count; ++i) {
     objs[i]->address = bump_;
     bump_ += objs[i]->size;
@@ -49,7 +49,7 @@ bool Chunk::FreeListAllocate(SimObject* obj, TouchResult* faults) {
     FreeRange& range = free_ranges_[i];
     if (range.size >= obj->size) {
       obj->address = range.offset;
-      AccumulateTouch(faults, vas_->Touch(region_, range.offset, obj->size, /*write=*/true));
+      AccumulateTouch(faults, touched_.WriteTouch(vas_, region_, range.offset, obj->size));
       range.offset += obj->size;
       range.size -= obj->size;
       if (range.size == 0) {

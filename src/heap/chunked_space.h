@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/heap/object.h"
+#include "src/heap/touch_watermark.h"
 #include "src/os/virtual_memory.h"
 
 namespace desiccant {
@@ -64,10 +65,12 @@ class Chunk {
   VirtualAddressSpace* vas() const { return vas_; }
   uint64_t bump() const { return bump_; }
   void ResetBump();
+  const TouchWatermark& touched() const { return touched_; }
 
  private:
   VirtualAddressSpace* vas_;
   RegionId region_;
+  TouchWatermark touched_;
   uint64_t bump_ = kChunkMetadataBytes;
   std::vector<FreeRange> free_ranges_;  // sorted by offset
   std::vector<SimObject*> objects_;

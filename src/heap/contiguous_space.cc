@@ -20,8 +20,7 @@ bool ContiguousSpace::Allocate(SimObject* obj, TouchResult* faults) {
     return false;
   }
   obj->address = top_;
-  const TouchResult t = vas_->Touch(region_, top_, obj->size, /*write=*/true);
-  faults->Accumulate(t);
+  faults->Accumulate(touched_.WriteTouch(vas_, region_, top_, obj->size));
   top_ += obj->size;
   objects_.push_back(obj);
   return true;
@@ -37,8 +36,7 @@ void ContiguousSpace::AllocateSpan(SimObject* const* objs, size_t count, uint64_
   }
   assert(check == total);
 #endif
-  const TouchResult t = vas_->Touch(region_, top_, total, /*write=*/true);
-  faults->Accumulate(t);
+  faults->Accumulate(touched_.WriteTouch(vas_, region_, top_, total));
   for (size_t i = 0; i < count; ++i) {
     objs[i]->address = top_;
     top_ += objs[i]->size;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/heap/object.h"
+#include "src/heap/touch_watermark.h"
 #include "src/os/virtual_memory.h"
 
 namespace desiccant {
@@ -62,11 +63,13 @@ class ContiguousSpace {
   const std::vector<SimObject*>& objects() const { return objects_; }
 
   uint64_t ResidentBytes() const;
+  const TouchWatermark& touched() const { return touched_; }
 
  private:
   std::string name_;
   VirtualAddressSpace* vas_;
   RegionId region_;
+  TouchWatermark touched_;
   uint64_t base_ = 0;
   uint64_t capacity_ = 0;
   uint64_t top_ = 0;

@@ -80,16 +80,19 @@ void SharedFileRegistry::AddMappersBatch(FileId file, WordChange* changes, size_
     assert(ch.mask != 0);
     if (ch.mask == ~0ull) {
       // Full word (the overwhelmingly common shape: whole shared images map
-      // word-aligned): contiguous increment loop instead of a bit-scan, and
-      // the uniform check reduces to all-equal-to-the-first.
+      // word-aligned): contiguous increment loop instead of a bit-scan. The
+      // post-change counts are all equal exactly when the pre-change counts
+      // all equal the first; OR-ing the differences keeps the loop free of
+      // branches and compares, so it vectorises.
       assert(ch.base_page + PageBitmap::kPagesPerWord <= entry.page_refcounts.size());
-      const uint32_t u = refs[ch.base_page] + 1;
-      bool same = true;
+      uint32_t* w = refs + ch.base_page;
+      const uint32_t u0 = w[0];
+      uint32_t diff = 0;
       for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
-        const uint32_t c = ++refs[ch.base_page + p];
-        same &= c == u;
+        diff |= w[p] ^ u0;
+        ++w[p];
       }
-      ch.uniform = same ? u : 0;
+      ch.uniform = diff == 0 ? u0 + 1 : 0;
       continue;
     }
     uint32_t uniform = 0;
@@ -121,16 +124,21 @@ void SharedFileRegistry::RemoveMappersBatch(FileId file, WordChange* changes, si
     WordChange& ch = changes[i];
     assert(ch.mask != 0);
     if (ch.mask == ~0ull) {
+      // Same vectorisable shape as AddMappersBatch's full-word loop.
       assert(ch.base_page + PageBitmap::kPagesPerWord <= entry.page_refcounts.size());
-      assert(refs[ch.base_page] > 0);
-      const uint32_t u = refs[ch.base_page] - 1;
-      bool same = true;
+      uint32_t* w = refs + ch.base_page;
+#ifndef NDEBUG
       for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
-        assert(refs[ch.base_page + p] > 0);
-        const uint32_t c = --refs[ch.base_page + p];
-        same &= c == u;
+        assert(w[p] > 0);
       }
-      ch.uniform = same ? u : 0;
+#endif
+      const uint32_t u0 = w[0];
+      uint32_t diff = 0;
+      for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
+        diff |= w[p] ^ u0;
+        --w[p];
+      }
+      ch.uniform = diff == 0 ? u0 - 1 : 0;
       continue;
     }
     uint32_t uniform = 0;

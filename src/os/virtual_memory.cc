@@ -343,6 +343,9 @@ uint64_t VirtualAddressSpace::SwapOutPagesLimited(uint64_t max_pages, uint64_t m
     }
     FlushCleanDropped(r, id);
   }
+  if (reclaimed != 0) {
+    ++residency_epoch_;
+  }
   if (swap_writes != nullptr) {
     *swap_writes = written;
   }
@@ -567,6 +570,7 @@ void VirtualAddressSpace::FlushCleanDropped(Region& r, RegionId region) {
 uint64_t VirtualAddressSpace::DropPageRange(Region& r, RegionId region, uint64_t first_page,
                                             uint64_t last_page) {
   uint64_t dropped = 0;
+  uint64_t dropped_resident = 0;
   ForEachWordInRange(first_page, last_page, [&](uint64_t w, uint64_t mask) {
     uint64_t& lo = r.pages.lo(w);
     uint64_t& hi = r.pages.hi(w);
@@ -589,8 +593,12 @@ uint64_t VirtualAddressSpace::DropPageRange(Region& r, RegionId region, uint64_t
     lo &= ~mask;
     hi &= ~mask;
     dropped += n_d + n_c + n_s;
+    dropped_resident += n_d + n_c;
   });
   FlushCleanDropped(r, region);
+  if (dropped_resident != 0) {
+    ++residency_epoch_;
+  }
   return dropped;
 }
 

@@ -197,8 +197,24 @@ class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
   PressureReliefHandler* relief_handler() const { return relief_; }
 
   // Registers (or clears, with null) the touch observer. At most one; the
-  // fast path pays a single pointer compare when none is attached.
-  void set_touch_listener(TouchListener* listener) { touch_listener_ = listener; }
+  // fast path pays a single pointer compare when none is attached. Bumps the
+  // residency epoch: callers that skip Touch on known-resident ranges must
+  // re-verify, so that an attached observer sees every re-touch.
+  void set_touch_listener(TouchListener* listener) {
+    touch_listener_ = listener;
+    ++residency_epoch_;
+  }
+  bool has_touch_listener() const { return touch_listener_ != nullptr; }
+
+  // Changes whenever a resident page of this space may have left the
+  // resident state (Release, Protect, Unmap, swap-out, node reclaim) and when
+  // the touch observer changes. While it is unchanged, a range verified
+  // all-resident in an anonymous region stays all-resident-dirty, so a write
+  // Touch of it would fault nothing and change no state.
+  uint64_t residency_epoch() const { return residency_epoch_; }
+  bool RegionAnonymous(RegionId region) const {
+    return GetRegion(region).kind == RegionKind::kAnonymous;
+  }
   // True while `region` refers to a live (not yet unmapped) region. Lets
   // holders of recorded RegionIds validate them before range queries, which
   // hard-abort on dead regions.
@@ -298,6 +314,7 @@ class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
   // is doomed (the platform kills it when the invocation surfaces), so later
   // touches fail fast instead of re-scanning a saturated node per fault.
   bool commit_denied_ = false;
+  uint64_t residency_epoch_ = 0;
   std::vector<Region> regions_;
   // Address-space aggregates (sums of the per-region counters).
   uint64_t resident_pages_ = 0;

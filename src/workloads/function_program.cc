@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/os/physical_memory.h"
+
 namespace desiccant {
 
 namespace {
@@ -99,37 +101,87 @@ InvocationOutcome FunctionProgram::Invoke(ManagedRuntime& runtime, SimClock& clo
     window_roots_.push_back(strong.Create(nullptr));
   }
   uint64_t allocated = 0;
-  uint64_t objects_since_tick = 0;
   size_t cursor = 0;
   SimTime compute_charged = 0;
+  // Occasionally links the new object to the previous occupant of its window
+  // slot, so the live graph has real edges for the tracer to chase, then
+  // roots it in that slot.
+  auto place = [&](SimObject* obj, bool link) {
+    const RootTable::Handle slot = window_roots_[cursor];
+    if (link) {
+      SimObject* prev = strong.Get(slot);
+      obj->AddRef(prev);
+      runtime.WriteBarrier(obj, prev);
+    }
+    strong.Set(slot, obj);
+    cursor = (cursor + 1) % window_roots_.size();
+  };
+  // Turns compute progress into a clock advance after every
+  // kClockBatchObjects objects.
+  auto tick = [&] {
+    const SimTime target = static_cast<SimTime>(
+        static_cast<double>(compute_time) * static_cast<double>(allocated) /
+        static_cast<double>(std::max<uint64_t>(1, spec_.alloc_bytes)));
+    if (target > compute_charged) {
+      clock.AdvanceBy(target - compute_charged);
+      compute_charged = target;
+    }
+  };
   // Node pressure can deny a commit for good mid-invocation (phase 1/2 above
   // or any churn allocation); the doomed program stops allocating there —
   // the platform kills it as soon as the outcome surfaces.
   bool oomed = runtime.pressure_oom();
-  while (!oomed && allocated < spec_.alloc_bytes) {
-    if (runtime.pressure_oom()) {
-      oomed = true;
-      break;
+  // Without an enabled pressure model no commit can fail, so a run of churn
+  // objects between two clock ticks can be allocated as one span: no
+  // per-object OOM check can fire inside it.
+  const PhysicalMemory* node = runtime.address_space().node();
+  if (node == nullptr || !node->enabled()) {
+    uint32_t sizes[kClockBatchObjects];
+    bool links[kClockBatchObjects];
+    SimObject* objs[kClockBatchObjects];
+    const size_t window = window_roots_.size();
+    while (!oomed && allocated < spec_.alloc_bytes) {
+      // Draw the run's sizes and link coins up front, in the per-object
+      // order (size, then a coin only when the slot holds an object). The
+      // runtime never touches this generator. Object k's slot holds object
+      // k - window of this run, or whatever it held before the run.
+      size_t n = 0;
+      while (n < kClockBatchObjects && allocated < spec_.alloc_bytes) {
+        sizes[n] = SampleObjectSize();
+        allocated += sizes[n];
+        const bool occupied =
+            n >= window || strong.Get(window_roots_[(cursor + n) % window]) != nullptr;
+        links[n] = occupied && rng_.Chance(0.25);
+        ++n;
+      }
+      if (runtime.AllocateCluster(sizes, n, objs)) {
+        for (size_t k = 0; k < n; ++k) {
+          place(objs[k], links[k]);
+        }
+      } else {
+        // A collection could fire mid-run: replay the per-object sequence,
+        // rooting each object before the next allocation.
+        for (size_t k = 0; k < n; ++k) {
+          place(runtime.AllocateObject(sizes[k]), links[k]);
+        }
+      }
+      if (n == kClockBatchObjects) {
+        tick();
+      }
     }
-    SimObject* obj = runtime.AllocateObject(SampleObjectSize());
-    allocated += obj->size;
-    // Occasionally link the new object to the previous window entry so the
-    // live graph has real edges for the tracer to chase.
-    SimObject* prev = strong.Get(window_roots_[cursor]);
-    if (prev != nullptr && rng_.Chance(0.25)) {
-      obj->AddRef(prev);
-      runtime.WriteBarrier(obj, prev);
-    }
-    strong.Set(window_roots_[cursor], obj);
-    cursor = (cursor + 1) % window_roots_.size();
-    if (++objects_since_tick >= kClockBatchObjects) {
-      objects_since_tick = 0;
-      const SimTime target = static_cast<SimTime>(
-          static_cast<double>(compute_time) * static_cast<double>(allocated) /
-          static_cast<double>(std::max<uint64_t>(1, spec_.alloc_bytes)));
-      if (target > compute_charged) {
-        clock.AdvanceBy(target - compute_charged);
-        compute_charged = target;
+  } else {
+    uint64_t objects_since_tick = 0;
+    while (!oomed && allocated < spec_.alloc_bytes) {
+      if (runtime.pressure_oom()) {
+        oomed = true;
+        break;
+      }
+      SimObject* obj = runtime.AllocateObject(SampleObjectSize());
+      allocated += obj->size;
+      place(obj, strong.Get(window_roots_[cursor]) != nullptr && rng_.Chance(0.25));
+      if (++objects_since_tick >= kClockBatchObjects) {
+        objects_since_tick = 0;
+        tick();
       }
     }
   }

@@ -7,6 +7,9 @@
 #include "src/heap/marker.h"
 #include "src/heap/object.h"
 #include "src/heap/roots.h"
+#include "src/heap/touch_watermark.h"
+#include "src/os/physical_memory.h"
+#include "src/snapshot/working_set.h"
 
 namespace desiccant {
 namespace {
@@ -241,6 +244,278 @@ TEST_F(ContiguousSpaceTest, SetBoundsPreservesContents) {
   space_->SetBounds(0, 2 * kMiB);  // grow in place
   EXPECT_EQ(space_->used_bytes(), 64 * kKiB);
   EXPECT_TRUE(space_->CanAllocate(kMiB));
+}
+
+// ---------------------------------------------------------------------------
+// TouchWatermark: a bump space skips write touches of pages it has already
+// seen resident-dirty. The skips must be invisible: a twin address space that
+// receives the same operations as raw Touch calls must agree on every
+// TouchResult, every page count and every usage figure.
+
+// One side of the twin: a node, the heap's address space and a neighbour
+// process on the same node whose faults drive node reclaim into the heap.
+struct TwinSide {
+  explicit TwinSide(const PhysicalMemoryConfig& config)
+      : node(config), vas(nullptr, &node), neighbour(nullptr, &node) {
+    heap = vas.MapAnonymous("heap", 512 * kKiB);
+    other = neighbour.MapAnonymous("other", 512 * kKiB);
+    neighbour.Touch(other, 0, 512 * kKiB, /*write=*/true);
+  }
+  PhysicalMemory node;
+  VirtualAddressSpace vas;
+  VirtualAddressSpace neighbour;
+  RegionId heap = kInvalidRegionId;
+  RegionId other = kInvalidRegionId;
+};
+
+// Emergency relief that releases a byte range of the heap region, so the
+// residency epoch moves inside a Touch call.
+class ReleaseRelief : public PressureReliefHandler {
+ public:
+  ReleaseRelief(VirtualAddressSpace* vas, RegionId region, const uint64_t* from)
+      : vas_(vas), region_(region), from_(from) {}
+  virtual ~ReleaseRelief() = default;
+  bool RelievePressure() override {
+    ++calls;
+    return *from_ < 512 * kKiB && vas_->Release(region_, *from_, 512 * kKiB - *from_) != 0;
+  }
+  uint64_t calls = 0;
+
+ private:
+  VirtualAddressSpace* vas_;
+  RegionId region_;
+  const uint64_t* from_;
+};
+
+void ExpectSameTouch(const TouchResult& a, const TouchResult& b, int op) {
+  EXPECT_EQ(a.minor_faults, b.minor_faults) << "op " << op;
+  EXPECT_EQ(a.swap_ins, b.swap_ins) << "op " << op;
+  EXPECT_EQ(a.cow_faults, b.cow_faults) << "op " << op;
+  EXPECT_EQ(a.direct_reclaim_pages, b.direct_reclaim_pages) << "op " << op;
+  EXPECT_EQ(a.failed_pages, b.failed_pages) << "op " << op;
+}
+
+void ExpectSameSide(const TwinSide& a, const TwinSide& b, int op) {
+  const MemoryUsage ua = a.vas.Usage();
+  const MemoryUsage ub = b.vas.Usage();
+  ASSERT_EQ(ua.rss, ub.rss) << "op " << op;
+  ASSERT_EQ(ua.uss, ub.uss) << "op " << op;
+  ASSERT_EQ(ua.pss, ub.pss) << "op " << op;
+  ASSERT_EQ(ua.swapped, ub.swapped) << "op " << op;
+  ASSERT_EQ(a.vas.ResidentPagesInRegion(a.heap), b.vas.ResidentPagesInRegion(b.heap))
+      << "op " << op;
+  ASSERT_EQ(a.neighbour.resident_pages(), b.neighbour.resident_pages()) << "op " << op;
+  ASSERT_EQ(a.vas.commit_denied(), b.vas.commit_denied()) << "op " << op;
+  ASSERT_EQ(a.node.total_resident_pages(), b.node.total_resident_pages()) << "op " << op;
+  ASSERT_EQ(a.node.swap().used_pages, b.node.swap().used_pages) << "op " << op;
+  ASSERT_EQ(a.node.stats().direct_reclaim_pages, b.node.stats().direct_reclaim_pages)
+      << "op " << op;
+  ASSERT_EQ(a.node.stats().kswapd_pages, b.node.stats().kswapd_pages) << "op " << op;
+  ASSERT_EQ(a.node.stats().commit_failures, b.node.stats().commit_failures) << "op " << op;
+}
+
+struct TwinCounts {
+  uint64_t allocations = 0;
+  uint64_t skipped = 0;
+  uint64_t reliefs = 0;
+  uint64_t reclaimed = 0;       // by direct SwapOutPagesLimited calls
+  uint64_t node_reclaimed = 0;  // by the node's kswapd / direct reclaim
+};
+
+// Side A runs a watermarked ContiguousSpace (heap region) and Chunk (own
+// region); side B replays the same touches raw. Operations: single and span
+// allocations, chunk bump allocations, Release / Protect of sub-ranges,
+// SwapOutPages, node-reclaim SwapOutPagesLimited, neighbour faults under the
+// node budget, and chunk unmap/remap.
+TwinCounts RunWatermarkTwin(uint64_t seed, const PhysicalMemoryConfig& config) {
+  TwinSide a(config);
+  TwinSide b(config);
+  ObjectPool pool;
+  ContiguousSpace space("eden", &a.vas, a.heap);
+  space.SetBounds(0, 512 * kKiB);
+  uint64_t top_b = 0;
+  auto chunk = std::make_unique<Chunk>(&a.vas, "chunk");
+  RegionId chunk_b = b.vas.MapAnonymous("chunk", kChunkSize);
+  b.vas.Touch(chunk_b, 0, kChunkMetadataBytes, /*write=*/true);
+  uint64_t bump_b = kChunkMetadataBytes;
+  // Relief releases the heap above the allocation in flight on both sides.
+  uint64_t top_a = 0;
+  ReleaseRelief relief_a(&a.vas, a.heap, &top_a);
+  ReleaseRelief relief_b(&b.vas, b.heap, &top_b);
+  a.vas.set_relief_handler(&relief_a);
+  b.vas.set_relief_handler(&relief_b);
+
+  TwinCounts counts;
+  Rng rng(seed);
+  for (int op = 0; op < 6000; ++op) {
+    const uint64_t kind = rng.UniformU64(0, 999);
+    TouchResult ta;
+    TouchResult tb;
+    if (kind < 500) {
+      const auto size = static_cast<uint32_t>(rng.UniformU64(16, 3000));
+      if (!space.CanAllocate(size)) {
+        space.Reset();
+        top_a = top_b = 0;
+      }
+      counts.skipped += space.touched().Covers(a.vas, space.top(), size);
+      ++counts.allocations;
+      top_a = space.top() + size;
+      EXPECT_TRUE(space.Allocate(pool.New(size), &ta));
+      top_b += size;
+      tb = b.vas.Touch(b.heap, top_b - size, size, /*write=*/true);
+    } else if (kind < 600) {
+      SimObject* objs[8];
+      const size_t n = rng.UniformU64(1, 8);
+      uint64_t total = 0;
+      for (size_t i = 0; i < n; ++i) {
+        objs[i] = pool.New(static_cast<uint32_t>(rng.UniformU64(16, 2000)));
+        total += objs[i]->size;
+      }
+      if (!space.CanAllocateSpan(total)) {
+        space.Reset();
+        top_a = top_b = 0;
+      }
+      counts.skipped += space.touched().Covers(a.vas, space.top(), total);
+      ++counts.allocations;
+      top_a = space.top() + total;
+      space.AllocateSpan(objs, n, total, &ta);
+      top_b += total;
+      tb = b.vas.Touch(b.heap, top_b - total, total, /*write=*/true);
+    } else if (kind < 800) {
+      const auto size = static_cast<uint32_t>(rng.UniformU64(16, 3000));
+      if (chunk->bump() + size > kChunkSize) {
+        chunk->objects().clear();
+        chunk->ResetBump();
+        bump_b = kChunkMetadataBytes;
+      }
+      counts.skipped += chunk->touched().Covers(a.vas, chunk->bump(), size);
+      ++counts.allocations;
+      EXPECT_TRUE(chunk->BumpAllocate(pool.New(size), &ta));
+      tb = b.vas.Touch(chunk_b, bump_b, size, /*write=*/true);
+      bump_b += size;
+    } else if (kind < 810) {
+      const uint64_t offset = rng.UniformU64(0, 512 * kKiB - 1);
+      const uint64_t len = rng.UniformU64(1, std::min<uint64_t>(32 * kKiB, 512 * kKiB - offset));
+      EXPECT_EQ(a.vas.Release(a.heap, offset, len), b.vas.Release(b.heap, offset, len));
+    } else if (kind < 815) {
+      const uint64_t offset = rng.UniformU64(0, kChunkSize - 1);
+      const uint64_t len = rng.UniformU64(1, std::min<uint64_t>(32 * kKiB, kChunkSize - offset));
+      EXPECT_EQ(a.vas.Protect(chunk->region(), offset, len),
+                b.vas.Protect(chunk_b, offset, len));
+    } else if (kind < 820) {
+      const uint64_t pages = rng.UniformU64(1, 16);
+      EXPECT_EQ(a.vas.SwapOutPages(pages), b.vas.SwapOutPages(pages));
+    } else if (kind < 825) {
+      const uint64_t pages = rng.UniformU64(1, 16);
+      const uint64_t writes = rng.UniformU64(0, 8);
+      uint64_t wa = 0;
+      uint64_t wb = 0;
+      const uint64_t ra = a.vas.SwapOutPagesLimited(pages, writes, &wa);
+      EXPECT_EQ(ra, b.vas.SwapOutPagesLimited(pages, writes, &wb));
+      EXPECT_EQ(wa, wb);
+      counts.reclaimed += ra;
+    } else if (kind < 995) {
+      // The neighbour re-faults part of its region; under a node budget the
+      // commit gate reclaims from the heap's address space.
+      const uint64_t offset = rng.UniformU64(0, 512 * kKiB - 1);
+      const uint64_t len = rng.UniformU64(1, std::min<uint64_t>(128 * kKiB, 512 * kKiB - offset));
+      a.neighbour.Release(a.other, offset, len);
+      b.neighbour.Release(b.other, offset, len);
+      ExpectSameTouch(a.neighbour.Touch(a.other, offset, len, /*write=*/true),
+                      b.neighbour.Touch(b.other, offset, len, /*write=*/true), op);
+    } else {
+      // Unmap the chunk and map a fresh one (region ids stay in lockstep).
+      chunk.reset();
+      b.vas.Unmap(chunk_b);
+      chunk = std::make_unique<Chunk>(&a.vas, "chunk");
+      chunk_b = b.vas.MapAnonymous("chunk", kChunkSize);
+      b.vas.Touch(chunk_b, 0, kChunkMetadataBytes, /*write=*/true);
+      bump_b = kChunkMetadataBytes;
+      EXPECT_EQ(chunk->region(), chunk_b);
+    }
+    ExpectSameTouch(ta, tb, op);
+    ExpectSameSide(a, b, op);
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
+  }
+  counts.reliefs = relief_a.calls;
+  counts.node_reclaimed = a.node.stats().kswapd_pages + a.node.stats().direct_reclaim_pages;
+  EXPECT_EQ(relief_a.calls, relief_b.calls);
+  a.vas.set_relief_handler(nullptr);
+  b.vas.set_relief_handler(nullptr);
+  return counts;
+}
+
+TEST(TouchWatermarkTest, TwinMatchesRawTouchesWithoutPressure) {
+  const TwinCounts counts = RunWatermarkTwin(11, PhysicalMemoryConfig{});
+  // Half the allocations land on pages an earlier one already faulted.
+  EXPECT_GT(counts.skipped, counts.allocations / 3);
+  EXPECT_GT(counts.reclaimed, 0u);
+}
+
+TEST(TouchWatermarkTest, TwinMatchesRawTouchesUnderNodePressure) {
+  // 200 pages of budget for up to 320 pages of demand: the neighbour's
+  // faults run kswapd over the heap's address space and, once swap fills, a
+  // commit fails and emergency relief releases heap pages inside a Touch.
+  uint64_t reliefs = 0;
+  for (uint64_t seed : {5u, 29u}) {
+    const TwinCounts counts =
+        RunWatermarkTwin(seed, PhysicalMemoryConfig::ForBytes(200 * kPageSize, 96 * kPageSize));
+    EXPECT_GT(counts.skipped, counts.allocations / 3);
+    EXPECT_GT(counts.node_reclaimed, 0u);
+    reliefs += counts.reliefs;
+  }
+  EXPECT_GT(reliefs, 0u);
+}
+
+TEST(TouchWatermarkTest, RecorderAttachedMidRunSeesReTouches) {
+  // Twin spaces: A allocates through a watermarked ContiguousSpace, B
+  // touches raw.
+  VirtualAddressSpace a(nullptr);
+  VirtualAddressSpace b(nullptr);
+  const RegionId ra = a.MapAnonymous("heap", kMiB);
+  const RegionId rb = b.MapAnonymous("heap", kMiB);
+  ContiguousSpace space("eden", &a, ra);
+  space.SetBounds(0, kMiB);
+  ObjectPool pool;
+  TouchResult faults;
+  // Warm 256 KiB of the heap, then recycle it: the pages stay resident.
+  for (uint64_t at = 0; at < 256 * kKiB; at += kKiB) {
+    space.Allocate(pool.New(kKiB), &faults);
+    b.Touch(rb, at, kKiB, /*write=*/true);
+  }
+  space.Reset();
+  ASSERT_TRUE(space.touched().Covers(a, 0, kKiB));
+
+  WorkingSetRecorder rec_a;
+  WorkingSetRecorder rec_b;
+  a.set_touch_listener(&rec_a);
+  b.set_touch_listener(&rec_b);
+  EXPECT_FALSE(space.touched().Covers(a, 0, kKiB));
+  for (uint64_t at = 0; at < 128 * kKiB; at += kKiB) {
+    TouchResult ta;
+    space.Allocate(pool.New(kKiB), &ta);
+    EXPECT_EQ(ta.total_faults(), 0u);  // every page was already resident
+    b.Touch(rb, at, kKiB, /*write=*/true);
+  }
+  a.set_touch_listener(nullptr);
+  b.set_touch_listener(nullptr);
+  EXPECT_EQ(rec_a.raw_touches(), rec_b.raw_touches());
+  const WorkingSet wa = rec_a.Finish();
+  const WorkingSet wb = rec_b.Finish();
+  EXPECT_EQ(wa.pages, 32u);  // 128 KiB of re-touched resident heap pages
+  EXPECT_EQ(wa.pages, wb.pages);
+  ASSERT_EQ(wa.runs.size(), wb.runs.size());
+  for (size_t i = 0; i < wa.runs.size(); ++i) {
+    EXPECT_EQ(wa.runs[i].region, wb.runs[i].region);
+    EXPECT_EQ(wa.runs[i].first_page, wb.runs[i].first_page);
+    EXPECT_EQ(wa.runs[i].pages, wb.runs[i].pages);
+  }
+  // Detached again: one real touch re-verifies, then skipping resumes.
+  EXPECT_FALSE(space.touched().Covers(a, space.top(), kKiB));
+  space.Allocate(pool.New(kKiB), &faults);
+  EXPECT_TRUE(space.touched().Covers(a, space.top(), kKiB));
 }
 
 // ---------------------------------------------------------------------------

@@ -295,6 +295,112 @@ TEST(GoldenFingerprintTest, InstanceGcLogCountsAreStable) {
   EXPECT_EQ(full, 15u);
 }
 
+// Churn-loop exactness pin: per-invocation outcomes, GC-log counts and final
+// USS of one instance per runtime over 25 invocations, on heaps small enough
+// that collections fire in the middle of the program's 32-object clock
+// batches. Any change to the churn loop's RNG draw order, allocation order,
+// link order or fault charging moves these constants.
+struct ChurnPin {
+  uint64_t outcomes = 0;  // FNV-1a over every InvocationOutcome field
+  size_t young = 0;
+  size_t full = 0;
+  uint64_t uss = 0;
+};
+
+uint64_t FoldFnv(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t FoldOutcome(uint64_t h, const InvocationOutcome& o) {
+  h = FoldFnv(h, o.duration);
+  h = FoldFnv(h, o.mutator.allocated_bytes);
+  h = FoldFnv(h, o.mutator.allocated_objects);
+  h = FoldFnv(h, o.mutator.gc_time);
+  h = FoldFnv(h, o.mutator.fault_time);
+  h = FoldFnv(h, o.mutator.minor_faults);
+  h = FoldFnv(h, o.mutator.swap_ins);
+  h = FoldFnv(h, o.mutator.direct_reclaim_pages);
+  h = FoldFnv(h, static_cast<uint64_t>(o.exec_multiplier * 1e6));
+  return FoldFnv(h, o.oom_killed ? 1 : 0);
+}
+
+ChurnPin PinInstance(Instance& instance, uint64_t h) {
+  ChurnPin pin;
+  for (const GcLogEntry& entry : instance.runtime().gc_log()) {
+    pin.young += entry.kind == GcLogEntry::Kind::kYoung;
+    pin.full += entry.kind == GcLogEntry::Kind::kFull;
+  }
+  pin.outcomes = h;
+  pin.uss = instance.Usage().uss;
+  return pin;
+}
+
+ChurnPin RunChurnPin(const WorkloadSpec* workload, JavaCollector collector,
+                     uint64_t budget) {
+  SharedFileRegistry registry;
+  Instance instance(1, workload, /*stage=*/0, budget, &registry, /*seed=*/7, collector);
+  uint64_t h = 14695981039346656037ull;
+  for (int i = 0; i < 25; ++i) {
+    h = FoldOutcome(h, instance.Execute());
+    instance.program().ConsumeCarry(instance.runtime());
+  }
+  return PinInstance(instance, h);
+}
+
+const WorkloadSpec* FindPythonWorkload(const std::string& name) {
+  for (const WorkloadSpec& w : PythonExtensionSuite()) {
+    if (w.name == name) {
+      return &w;
+    }
+  }
+  return nullptr;
+}
+
+void ExpectPin(const ChurnPin& pin, uint64_t outcomes, size_t young, size_t full,
+               uint64_t uss) {
+  EXPECT_EQ(pin.outcomes, outcomes);
+  EXPECT_EQ(pin.young, young);
+  EXPECT_EQ(pin.full, full);
+  EXPECT_EQ(pin.uss, uss);
+}
+
+TEST(GoldenFingerprintTest, ChurnLoopOutcomesAreStable) {
+  ExpectPin(RunChurnPin(FindWorkload("sort"), JavaCollector::kSerial, 32 * kMiB),
+            6233958923443855527u, 24, 0, 83677184u);
+  ExpectPin(RunChurnPin(FindWorkload("file-hash"), JavaCollector::kG1, 32 * kMiB),
+            7682921030883039692u, 16, 0, 80527360u);
+  ExpectPin(RunChurnPin(FindWorkload("dynamic-html"), JavaCollector::kSerial, 32 * kMiB),
+            8241783695304873213u, 80, 0, 78864384u);
+  ExpectPin(RunChurnPin(FindPythonWorkload("py-json-transform"), JavaCollector::kSerial,
+                        32 * kMiB),
+            2379650336610842639u, 0, 39, 29097984u);
+}
+
+// The same pin with the pressure model on: two instances share a node too
+// small for both, so commits run the reclaim ladder mid-invocation.
+TEST(GoldenFingerprintTest, ChurnLoopUnderPressureIsStable) {
+  PhysicalMemory node(PhysicalMemoryConfig::ForBytes(96 * kMiB, 16 * kMiB));
+  SharedFileRegistry registry;
+  Instance java(1, FindWorkload("sort"), /*stage=*/0, 64 * kMiB, &registry, /*seed=*/7,
+                JavaCollector::kSerial, &node);
+  Instance js(2, FindWorkload("web-server"), /*stage=*/0, 64 * kMiB, &registry, /*seed=*/8,
+              JavaCollector::kSerial, &node);
+  uint64_t hj = 14695981039346656037ull;
+  uint64_t hv = hj;
+  for (int i = 0; i < 25; ++i) {
+    hj = FoldOutcome(hj, java.Execute());
+    hv = FoldOutcome(hv, js.Execute());
+  }
+  ExpectPin(PinInstance(java, hj), 2908609231810114848u, 13, 0, 37359616u);
+  ExpectPin(PinInstance(js, hv), 7407377657757434664u, 56, 0, 52056064u);
+  EXPECT_EQ(node.stats().direct_reclaim_pages + node.stats().kswapd_pages, 17289u);
+  EXPECT_EQ(node.stats().commit_failures, 0u);
+}
+
 // Constants re-pinned when the Platform hot maps moved to IdSlotMap: frozen
 // reclaim candidates are now canonically ordered by instance id (boot order)
 // instead of inheriting unordered_map iteration order, which re-breaks

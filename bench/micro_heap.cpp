@@ -346,11 +346,11 @@ BENCHMARK(BM_HotSpotClusterBatched);
 // program's batched churn loop, the runtime's allocation paths and
 // collections, and the heap→OS touch watermark together. After warmup a
 // HotSpot invocation performs zero host-heap allocations (asserted in CI). A
-// V8 invocation does not: each chunk the V8 model maps anew allocates its
-// Chunk, region entry and object list, which for dynamic-html happens about
-// once per 20-50 invocations. CI therefore bounds V8 below one allocation
-// per invocation, a bound that per-invocation scratch in the churn loop
-// would break.
+// V8 invocation nearly does: unmapped chunks and region slots are parked and
+// reused, but a reused chunk's object list still doubles the first time the
+// chunk holds more objects than it ever did (about 0.014 per dynamic-html
+// invocation). CI therefore bounds V8 below one allocation per invocation, a
+// bound that per-invocation scratch in the churn loop would break.
 
 void WarmInvoke(benchmark::State& state, const char* workload) {
   SharedFileRegistry registry;

@@ -162,19 +162,7 @@ uint64_t Instance::IdealUssBytes() {
 }
 
 uint64_t Instance::UnmapIdleLibraries() {
-  uint64_t released = 0;
-  for (const RegionInfo& region : vas_.Smaps()) {
-    if (!region.file_backed() || !region.never_written) {
-      continue;
-    }
-    if (region.shared_clean > 0) {
-      continue;  // mapped by another process: leave it to sharing
-    }
-    if (region.private_clean == 0) {
-      continue;
-    }
-    released += vas_.Release(region.id, 0, region.size_bytes);
-  }
+  const uint64_t released = vas_.ReleaseUnsharedFileRegions();
   if (released > 0) {
     libraries_unmapped_ = true;
   }

@@ -106,6 +106,7 @@ class Instance {
   SimTime frozen_since() const { return frozen_since_; }
 
   SimTime BootCost() const { return runtime_->BootCost(); }
+  const VirtualAddressSpace& vas() const { return vas_; }
   ManagedRuntime& runtime() { return *runtime_; }
   FunctionProgram& program() { return *program_; }
   SimClock& exec_clock() { return exec_clock_; }

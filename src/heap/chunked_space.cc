@@ -9,18 +9,57 @@ namespace {
 
 void AccumulateTouch(TouchResult* into, const TouchResult& t) { into->Accumulate(t); }
 
+// Maps a chunk, reusing a parked one when there is one.
+std::unique_ptr<Chunk> TakeChunk(std::vector<std::unique_ptr<Chunk>>& parked,
+                                 VirtualAddressSpace* vas, std::string_view prefix,
+                                 uint64_t ordinal) {
+  if (parked.empty()) {
+    return std::make_unique<Chunk>(vas, prefix, ordinal);
+  }
+  std::unique_ptr<Chunk> chunk = std::move(parked.back());
+  parked.pop_back();
+  chunk->Map(prefix, ordinal);
+  return chunk;
+}
+
+// Unmaps an empty chunk and keeps the object for the next TakeChunk.
+void ParkChunk(std::unique_ptr<Chunk> chunk, std::vector<std::unique_ptr<Chunk>>& parked) {
+  chunk->Unmap();
+  parked.push_back(std::move(chunk));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Chunk
 
-Chunk::Chunk(VirtualAddressSpace* vas, std::string name) : vas_(vas) {
-  region_ = vas_->MapAnonymous(std::move(name), kChunkSize);
+Chunk::Chunk(VirtualAddressSpace* vas, std::string_view prefix, uint64_t ordinal)
+    : vas_(vas), region_(kInvalidRegionId) {
+  Map(prefix, ordinal);
+}
+
+Chunk::~Chunk() {
+  if (region_ != kInvalidRegionId) {
+    vas_->Unmap(region_);
+  }
+}
+
+void Chunk::Map(std::string_view prefix, uint64_t ordinal) {
+  assert(region_ == kInvalidRegionId);
+  region_ = vas_->MapAnonymous(prefix, kChunkSize, ordinal);
+  touched_ = TouchWatermark();
+  bump_ = kChunkMetadataBytes;
+  free_ranges_.clear();
+  objects_.clear();
   // The metadata page is written when the chunk is wired up.
   touched_.WriteTouch(vas_, region_, 0, kChunkMetadataBytes);
 }
 
-Chunk::~Chunk() { vas_->Unmap(region_); }
+void Chunk::Unmap() {
+  assert(objects_.empty());
+  vas_->Unmap(region_);
+  region_ = kInvalidRegionId;
+}
 
 bool Chunk::BumpAllocate(SimObject* obj, TouchResult* faults) {
   if (bump_ + obj->size > kChunkSize) {
@@ -116,7 +155,7 @@ void Chunk::ResetBump() {
 // Semispace
 
 Semispace::Semispace(std::string name, VirtualAddressSpace* vas, uint64_t capacity_bytes)
-    : name_(std::move(name)), vas_(vas), capacity_(capacity_bytes) {
+    : chunk_prefix_(std::move(name) + "/chunk"), vas_(vas), capacity_(capacity_bytes) {
   assert(capacity_bytes % kChunkSize == 0);
 }
 
@@ -135,7 +174,8 @@ bool Semispace::SetCapacity(uint64_t capacity_bytes) {
       return false;
     }
     while (chunks_.size() > max_chunks) {
-      chunks_.pop_back();  // unmaps the chunk region
+      ParkChunk(std::move(chunks_.back()), parked_);
+      chunks_.pop_back();
     }
   }
   capacity_ = capacity_bytes;
@@ -233,15 +273,14 @@ uint64_t Semispace::ResidentBytes() const {
 }
 
 void Semispace::EnsureChunk() {
-  chunks_.push_back(
-      std::make_unique<Chunk>(vas_, name_ + "/chunk" + std::to_string(chunk_name_counter_++)));
+  chunks_.push_back(TakeChunk(parked_, vas_, chunk_prefix_, chunk_name_counter_++));
 }
 
 // ---------------------------------------------------------------------------
 // ChunkedOldSpace
 
 ChunkedOldSpace::ChunkedOldSpace(std::string name, VirtualAddressSpace* vas)
-    : name_(std::move(name)), vas_(vas) {}
+    : chunk_prefix_(std::move(name) + "/chunk"), vas_(vas) {}
 
 void ChunkedOldSpace::Allocate(SimObject* obj, TouchResult* faults) {
   assert(obj->size <= kChunkDataBytes);
@@ -252,8 +291,7 @@ void ChunkedOldSpace::Allocate(SimObject* obj, TouchResult* faults) {
       return;
     }
   }
-  chunks_.push_back(
-      std::make_unique<Chunk>(vas_, name_ + "/chunk" + std::to_string(chunk_name_counter_++)));
+  chunks_.push_back(TakeChunk(parked_, vas_, chunk_prefix_, chunk_name_counter_++));
   const bool ok = chunks_.back()->BumpAllocate(obj, faults);
   assert(ok);
   (void)ok;
@@ -290,6 +328,7 @@ uint64_t ChunkedOldSpace::ReleaseEmptyChunks() {
                                  [](const std::unique_ptr<Chunk>& c) { return !c->empty(); });
   for (auto it = keep_end; it != chunks_.end(); ++it) {
     released_bytes += kChunkSize;
+    ParkChunk(std::move(*it), parked_);
   }
   chunks_.erase(keep_end, chunks_.end());
   // Chunk indices changed; refresh owners.
@@ -321,15 +360,14 @@ uint64_t ChunkedOldSpace::ResidentBytes() const {
 // LargeObjectSpace
 
 LargeObjectSpace::LargeObjectSpace(std::string name, VirtualAddressSpace* vas)
-    : name_(std::move(name)), vas_(vas) {}
+    : region_prefix_(std::move(name) + "/lo"), vas_(vas) {}
 
 void LargeObjectSpace::Allocate(SimObject* obj, TouchResult* faults) {
   Entry entry;
   entry.object = obj;
-  entry.region = vas_->MapAnonymous(name_ + "/lo" + std::to_string(region_name_counter_++),
-                                    PageAlignUp(obj->size) + kChunkMetadataBytes);
+  entry.region = vas_->MapAnonymous(region_prefix_, PageAlignUp(obj->size) + kChunkMetadataBytes,
+                                    region_name_counter_++);
   obj->address = kChunkMetadataBytes;
-  obj->owner = entry.region;
   AccumulateTouch(faults, vas_->Touch(entry.region, 0, kChunkMetadataBytes + obj->size,
                                       /*write=*/true));
   used_bytes_ += obj->size;

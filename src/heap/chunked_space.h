@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/heap/object.h"
@@ -27,11 +28,22 @@ struct FreeRange {
   uint64_t size = 0;
 };
 
-// One 256 KiB chunk: a region plus allocation bookkeeping.
+// One 256 KiB chunk: a region plus allocation bookkeeping. Spaces park a
+// chunk they give back instead of deleting it: Unmap() returns the region to
+// the OS, and Map() later maps a fresh region into the same object, reusing
+// its object and free-range storage.
 class Chunk {
  public:
-  Chunk(VirtualAddressSpace* vas, std::string name);
+  // Maps the chunk's region, named `prefix` + `ordinal` in smaps.
+  Chunk(VirtualAddressSpace* vas, std::string_view prefix,
+        uint64_t ordinal = VirtualAddressSpace::kNoOrdinal);
   ~Chunk();
+
+  // Maps a fresh region for a parked (unmapped) chunk; the chunk is then
+  // indistinguishable from a newly constructed one.
+  void Map(std::string_view prefix, uint64_t ordinal);
+  // Unmaps the region; the chunk must be empty.
+  void Unmap();
 
   Chunk(const Chunk&) = delete;
   Chunk& operator=(const Chunk&) = delete;
@@ -124,11 +136,12 @@ class Semispace {
  private:
   void EnsureChunk();
 
-  std::string name_;
+  std::string chunk_prefix_;  // "<name>/chunk"
   VirtualAddressSpace* vas_;
   uint64_t capacity_;
   size_t cursor_ = 0;  // index of the chunk being bump-allocated
   std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<std::unique_ptr<Chunk>> parked_;  // unmapped, ready for reuse
   uint64_t chunk_name_counter_ = 0;
 };
 
@@ -177,9 +190,10 @@ class ChunkedOldSpace {
   }
 
  private:
-  std::string name_;
+  std::string chunk_prefix_;  // "<name>/chunk"
   VirtualAddressSpace* vas_;
   std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<std::unique_ptr<Chunk>> parked_;  // unmapped, ready for reuse
   uint64_t used_bytes_ = 0;
   uint64_t chunk_name_counter_ = 0;
 };
@@ -219,7 +233,7 @@ class LargeObjectSpace {
     RegionId region = kInvalidRegionId;
   };
 
-  std::string name_;
+  std::string region_prefix_;  // "<name>/lo"
   VirtualAddressSpace* vas_;
   std::vector<Entry> entries_;
   uint64_t used_bytes_ = 0;

@@ -10,8 +10,10 @@
 
 namespace desiccant {
 
-// Packs one PageState (2 bits) per 4 KiB page into a pair of parallel
-// bitmaps: `lo` holds bit 0 of the state, `hi` holds bit 1. The PageState
+// Packs one PageState (2 bits) per 4 KiB page into a pair of bitmaps: `lo`
+// holds bit 0 of the state, `hi` holds bit 1. The two words covering the same
+// 64 pages sit side by side in one allocation, so a word transition touches
+// one cache line and a one-word region (a V8 chunk) costs one allocation. The PageState
 // encoding in page.h is chosen so every interesting page class is a single
 // bitwise expression over a 64-page word:
 //
@@ -30,32 +32,38 @@ class PageBitmap {
   static constexpr uint64_t kPagesPerWord = 64;
 
   explicit PageBitmap(uint64_t num_pages)
-      : num_pages_(num_pages),
-        lo_((num_pages + kPagesPerWord - 1) / kPagesPerWord, 0),
-        hi_(lo_.size(), 0) {}
+      : num_pages_(num_pages), bits_(2 * WordsFor(num_pages), 0) {}
+
+  // Re-sizes to `num_pages` not-present pages, reusing the storage's
+  // capacity: a bitmap parked by an unmapped region serves the next region of
+  // the same or a smaller size without a host allocation.
+  void Reset(uint64_t num_pages) {
+    num_pages_ = num_pages;
+    bits_.assign(2 * WordsFor(num_pages), 0);
+  }
 
   uint64_t num_pages() const { return num_pages_; }
-  uint64_t num_words() const { return lo_.size(); }
+  uint64_t num_words() const { return bits_.size() / 2; }
 
   PageState Get(uint64_t page) const {
     const uint64_t bit = uint64_t{1} << (page % kPagesPerWord);
     const uint64_t word = page / kPagesPerWord;
-    return static_cast<PageState>(((lo_[word] & bit) != 0 ? 1u : 0u) |
-                                  ((hi_[word] & bit) != 0 ? 2u : 0u));
+    return static_cast<PageState>(((lo(word) & bit) != 0 ? 1u : 0u) |
+                                  ((hi(word) & bit) != 0 ? 2u : 0u));
   }
 
   void Set(uint64_t page, PageState s) {
     const uint64_t bit = uint64_t{1} << (page % kPagesPerWord);
     const uint64_t word = page / kPagesPerWord;
     const auto value = static_cast<uint64_t>(s);
-    lo_[word] = (value & 1u) != 0 ? (lo_[word] | bit) : (lo_[word] & ~bit);
-    hi_[word] = (value & 2u) != 0 ? (hi_[word] | bit) : (hi_[word] & ~bit);
+    lo(word) = (value & 1u) != 0 ? (lo(word) | bit) : (lo(word) & ~bit);
+    hi(word) = (value & 2u) != 0 ? (hi(word) | bit) : (hi(word) & ~bit);
   }
 
-  uint64_t& lo(uint64_t word) { return lo_[word]; }
-  uint64_t& hi(uint64_t word) { return hi_[word]; }
-  uint64_t lo(uint64_t word) const { return lo_[word]; }
-  uint64_t hi(uint64_t word) const { return hi_[word]; }
+  uint64_t& lo(uint64_t word) { return bits_[2 * word]; }
+  uint64_t& hi(uint64_t word) { return bits_[2 * word + 1]; }
+  uint64_t lo(uint64_t word) const { return bits_[2 * word]; }
+  uint64_t hi(uint64_t word) const { return bits_[2 * word + 1]; }
 
   // Mask selecting bit positions [first_bit, last_bit] (inclusive, < 64).
   static uint64_t RangeMask(uint64_t first_bit, uint64_t last_bit) {
@@ -65,9 +73,12 @@ class PageBitmap {
   }
 
  private:
+  static uint64_t WordsFor(uint64_t num_pages) {
+    return (num_pages + kPagesPerWord - 1) / kPagesPerWord;
+  }
+
   uint64_t num_pages_;
-  std::vector<uint64_t> lo_;
-  std::vector<uint64_t> hi_;
+  std::vector<uint64_t> bits_;  // lo, hi of word 0, then of word 1, ...
 };
 
 // Calls fn(bit_index) for each set bit of `bits`, in ascending order.

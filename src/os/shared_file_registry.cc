@@ -1,5 +1,6 @@
 #include "src/os/shared_file_registry.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
@@ -27,6 +28,9 @@ FileId SharedFileRegistry::RegisterFile(const std::string& name, uint64_t size_b
   entry.name = name;
   entry.size_bytes = size_bytes;
   entry.page_refcounts.assign(BytesToPages(size_bytes), 0);
+  entry.word_refcounts.assign(
+      (entry.page_refcounts.size() + PageBitmap::kPagesPerWord - 1) / PageBitmap::kPagesPerWord,
+      0);
   files_.push_back(std::move(entry));
   const FileId id = static_cast<FileId>(files_.size() - 1);
   by_name_.emplace(name, id);
@@ -48,148 +52,88 @@ const std::string& SharedFileRegistry::FileName(FileId file) const {
   return files_[file].name;
 }
 
-void SharedFileRegistry::AddListener(FileId file, MapperListener* listener, uint64_t cookie) {
+void SharedFileRegistry::AddMappers(FileId file, uint64_t word, uint64_t mask) {
   assert(file < files_.size());
-  files_[file].mappings.push_back(Mapping{listener, cookie});
-}
-
-void SharedFileRegistry::RemoveListener(FileId file, MapperListener* listener,
-                                        uint64_t cookie) {
-  assert(file < files_.size());
-  auto& mappings = files_[file].mappings;
-  for (size_t i = 0; i < mappings.size(); ++i) {
-    if (mappings[i].listener == listener && mappings[i].cookie == cookie) {
-      mappings[i] = mappings.back();
-      mappings.pop_back();
-      return;
+  assert(mask != 0);
+  FileEntry& entry = files_[file];
+  const uint64_t base = word * PageBitmap::kPagesPerWord;
+  uint32_t* w = entry.page_refcounts.data() + base;
+  if (mask == ~0ull) {
+    // Full word (the overwhelmingly common shape: whole shared images map
+    // word-aligned): contiguous increment loop instead of a bit-scan. The
+    // post-change counts are all equal exactly when the pre-change counts
+    // all equal the first; OR-ing the differences keeps the loop free of
+    // branches and compares, so it vectorises.
+    assert(base + PageBitmap::kPagesPerWord <= entry.page_refcounts.size());
+    const uint32_t u0 = w[0];
+    uint32_t diff = 0;
+    for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
+      diff |= w[p] ^ u0;
+      ++w[p];
     }
-  }
-  assert(false && "RemoveListener: mapping not registered");
-}
-
-void SharedFileRegistry::AddMappersBatch(FileId file, WordChange* changes, size_t count,
-                                         MapperListener* skip, uint64_t skip_cookie) {
-  if (count == 0) {
+    entry.word_refcounts[word] = diff == 0 ? u0 + 1 : 0;
     return;
   }
-  assert(file < files_.size());
-  FileEntry& entry = files_[file];
-  uint32_t* refs = entry.page_refcounts.data();
-  for (size_t i = 0; i < count; ++i) {
-    WordChange& ch = changes[i];
-    assert(ch.mask != 0);
-    if (ch.mask == ~0ull) {
-      // Full word (the overwhelmingly common shape: whole shared images map
-      // word-aligned): contiguous increment loop instead of a bit-scan. The
-      // post-change counts are all equal exactly when the pre-change counts
-      // all equal the first; OR-ing the differences keeps the loop free of
-      // branches and compares, so it vectorises.
-      assert(ch.base_page + PageBitmap::kPagesPerWord <= entry.page_refcounts.size());
-      uint32_t* w = refs + ch.base_page;
-      const uint32_t u0 = w[0];
-      uint32_t diff = 0;
-      for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
-        diff |= w[p] ^ u0;
-        ++w[p];
-      }
-      ch.uniform = diff == 0 ? u0 + 1 : 0;
-      continue;
-    }
-    uint32_t uniform = 0;
-    bool first = true;
-    ForEachSetBit(ch.mask, [&](uint64_t bit) {
-      assert(ch.base_page + bit < entry.page_refcounts.size());
-      const uint32_t c = ++refs[ch.base_page + bit];
-      if (first) {
-        uniform = c;
-        first = false;
-      } else if (c != uniform) {
-        uniform = 0;
-      }
-    });
-    ch.uniform = uniform;
-  }
-  Notify(entry, changes, count, +1, skip, skip_cookie);
+  ForEachSetBit(mask, [&](uint64_t bit) {
+    assert(base + bit < entry.page_refcounts.size());
+    ++w[bit];
+  });
+  RescanWord(entry, word);
 }
 
-void SharedFileRegistry::RemoveMappersBatch(FileId file, WordChange* changes, size_t count,
-                                            MapperListener* skip, uint64_t skip_cookie) {
-  if (count == 0) {
-    return;
-  }
+void SharedFileRegistry::RemoveMappers(FileId file, uint64_t word, uint64_t mask) {
   assert(file < files_.size());
+  assert(mask != 0);
   FileEntry& entry = files_[file];
-  uint32_t* refs = entry.page_refcounts.data();
-  for (size_t i = 0; i < count; ++i) {
-    WordChange& ch = changes[i];
-    assert(ch.mask != 0);
-    if (ch.mask == ~0ull) {
-      // Same vectorisable shape as AddMappersBatch's full-word loop.
-      assert(ch.base_page + PageBitmap::kPagesPerWord <= entry.page_refcounts.size());
-      uint32_t* w = refs + ch.base_page;
+  const uint64_t base = word * PageBitmap::kPagesPerWord;
+  uint32_t* w = entry.page_refcounts.data() + base;
+  if (mask == ~0ull) {
+    // Same vectorisable shape as AddMappers' full-word loop.
+    assert(base + PageBitmap::kPagesPerWord <= entry.page_refcounts.size());
 #ifndef NDEBUG
-      for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
-        assert(w[p] > 0);
-      }
-#endif
-      const uint32_t u0 = w[0];
-      uint32_t diff = 0;
-      for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
-        diff |= w[p] ^ u0;
-        --w[p];
-      }
-      ch.uniform = diff == 0 ? u0 - 1 : 0;
-      continue;
+    for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
+      assert(w[p] > 0);
     }
-    uint32_t uniform = 0;
-    bool first = true;
-    ForEachSetBit(ch.mask, [&](uint64_t bit) {
-      assert(ch.base_page + bit < entry.page_refcounts.size());
-      assert(refs[ch.base_page + bit] > 0);
-      const uint32_t c = --refs[ch.base_page + bit];
-      if (first) {
-        uniform = c;
-        first = false;
-      } else if (c != uniform) {
-        uniform = 0;
-      }
-    });
-    ch.uniform = uniform;
+#endif
+    const uint32_t u0 = w[0];
+    uint32_t diff = 0;
+    for (uint64_t p = 0; p < PageBitmap::kPagesPerWord; ++p) {
+      diff |= w[p] ^ u0;
+      --w[p];
+    }
+    entry.word_refcounts[word] = diff == 0 ? u0 - 1 : 0;
+    return;
   }
-  Notify(entry, changes, count, -1, skip, skip_cookie);
+  ForEachSetBit(mask, [&](uint64_t bit) {
+    assert(base + bit < entry.page_refcounts.size());
+    assert(w[bit] > 0);
+    --w[bit];
+  });
+  RescanWord(entry, word);
 }
 
-uint32_t SharedFileRegistry::AddMappers(FileId file, uint64_t base_page, uint64_t mask,
-                                        MapperListener* skip, uint64_t skip_cookie) {
-  if (mask == 0) {
-    return 0;
+void SharedFileRegistry::RescanWord(FileEntry& entry, uint64_t word) {
+  const uint64_t base = word * PageBitmap::kPagesPerWord;
+  const uint64_t n = std::min<uint64_t>(PageBitmap::kPagesPerWord,
+                                        entry.page_refcounts.size() - base);
+  const uint32_t* w = entry.page_refcounts.data() + base;
+  const uint32_t u0 = w[0];
+  uint32_t diff = 0;
+  for (uint64_t p = 0; p < n; ++p) {
+    diff |= w[p] ^ u0;
   }
-  WordChange ch{base_page, mask, 0};
-  AddMappersBatch(file, &ch, 1, skip, skip_cookie);
-  return ch.uniform;
+  entry.word_refcounts[word] = diff == 0 ? u0 : 0;
 }
 
-uint32_t SharedFileRegistry::RemoveMappers(FileId file, uint64_t base_page, uint64_t mask,
-                                           MapperListener* skip, uint64_t skip_cookie) {
-  if (mask == 0) {
-    return 0;
-  }
-  WordChange ch{base_page, mask, 0};
-  RemoveMappersBatch(file, &ch, 1, skip, skip_cookie);
-  return ch.uniform;
-}
-
-uint32_t SharedFileRegistry::AddMapper(FileId file, uint64_t page_index, MapperListener* skip,
-                                       uint64_t skip_cookie) {
-  const uint64_t base = page_index & ~(PageBitmap::kPagesPerWord - 1);
-  AddMappers(file, base, uint64_t{1} << (page_index - base), skip, skip_cookie);
+uint32_t SharedFileRegistry::AddMapper(FileId file, uint64_t page_index) {
+  const uint64_t word = page_index / PageBitmap::kPagesPerWord;
+  AddMappers(file, word, uint64_t{1} << (page_index % PageBitmap::kPagesPerWord));
   return files_[file].page_refcounts[page_index];
 }
 
-uint32_t SharedFileRegistry::RemoveMapper(FileId file, uint64_t page_index,
-                                          MapperListener* skip, uint64_t skip_cookie) {
-  const uint64_t base = page_index & ~(PageBitmap::kPagesPerWord - 1);
-  RemoveMappers(file, base, uint64_t{1} << (page_index - base), skip, skip_cookie);
+uint32_t SharedFileRegistry::RemoveMapper(FileId file, uint64_t page_index) {
+  const uint64_t word = page_index / PageBitmap::kPagesPerWord;
+  RemoveMappers(file, word, uint64_t{1} << (page_index % PageBitmap::kPagesPerWord));
   return files_[file].page_refcounts[page_index];
 }
 
@@ -205,16 +149,9 @@ const uint32_t* SharedFileRegistry::PageRefcounts(FileId file) const {
   return files_[file].page_refcounts.data();
 }
 
-void SharedFileRegistry::Notify(const FileEntry& entry, const WordChange* changes,
-                                size_t count, int delta, const MapperListener* skip,
-                                uint64_t skip_cookie) {
-  for (const Mapping& m : entry.mappings) {
-    if (m.listener == skip && m.cookie == skip_cookie) {
-      continue;
-    }
-    m.listener->OnMapperWordsChanged(m.cookie, changes, count, delta,
-                                     entry.page_refcounts.data());
-  }
+const uint32_t* SharedFileRegistry::WordRefcounts(FileId file) const {
+  assert(file < files_.size());
+  return files_[file].word_refcounts.data();
 }
 
 }  // namespace desiccant

@@ -7,20 +7,16 @@
 // process maps them. This registry owns the per-page mapper refcounts that
 // make USS/PSS computable.
 //
-// Because address spaces keep their USS/PSS terms incrementally (instead of
-// rescanning pages at query time), a refcount change caused by one process
-// must reach every other process that currently maps the page: a clean page
-// moves between the private and shared columns the moment a second mapper
-// appears or the second-to-last one leaves. The MapperListener protocol
-// delivers exactly those transitions; the initiator of a change is excluded
-// (it updates its own counters inline, where it knows the full context).
-// Notifications are batched as spans of 64-page bitmap words: bulk image
-// maps, unmaps, and reclaim releases change thousands of refcounts at once,
-// and first the per-page fan-out and later the per-word fan-out (a virtual
-// call plus a listener-side region lookup per word PER mapper) were the
-// dominant simulator costs before span batching. Per-word counter moves all
-// commute, so coalescing them into one callback is byte-identical to the
-// eager per-word protocol.
+// A refcount change touches only the registry: no other mapper is told. Each
+// address space derives its shared-page USS/PSS terms when it is queried, by
+// reading the refcounts of the pages it holds clean. To make that read cheap,
+// the registry also keeps one value per 64-page bitmap word: the refcount
+// shared by every page of the word, or 0 when the pages differ (or are all
+// unmapped). Whole runtime images are faulted in word-aligned, so nearly every
+// word is uniform and a query accounts for it in O(1); only words that
+// staggered prefixes, partial releases or COW writes have split need a
+// per-page read. Booting or tearing down a process therefore costs
+// O(its own pages), however many other processes map the same file.
 #ifndef DESICCANT_SRC_OS_SHARED_FILE_REGISTRY_H_
 #define DESICCANT_SRC_OS_SHARED_FILE_REGISTRY_H_
 
@@ -36,35 +32,6 @@ inline constexpr FileId kInvalidFileId = ~0u;
 
 class SharedFileRegistry {
  public:
-  // One 64-page bitmap word's worth of refcount changes: every page in
-  // `mask` (bit i = page `base_page + i`) changed by the same delta.
-  // `uniform` is filled in by the registry: the post-change refcount shared
-  // by every changed page of the word, or 0 if they differ. Uniformity is
-  // the overwhelmingly common case (whole shared images mapped uniformly)
-  // and lets listeners account for a word in O(1).
-  struct WordChange {
-    uint64_t base_page = 0;
-    uint64_t mask = 0;
-    uint32_t uniform = 0;
-  };
-
-  // Observer of mapper-count changes for files it registered interest in.
-  // `cookie` is an opaque value chosen by the listener at AddListener time
-  // (address spaces pass the region id mapping the file).
-  class MapperListener {
-   public:
-    virtual ~MapperListener() = default;
-    // The mapper counts of `count` disjoint words all changed by `delta`
-    // (+1 or -1) in one bulk operation. `page_refcounts` points at the
-    // file's refcount array *after* all changes, so for a changed page p
-    // the new count is page_refcounts[p] and the old count is
-    // page_refcounts[p] - delta. Fired once per registered (listener,
-    // cookie) pair per bulk operation, except the pair that initiated it.
-    virtual void OnMapperWordsChanged(uint64_t cookie, const WordChange* changes,
-                                      size_t count, int delta,
-                                      const uint32_t* page_refcounts) = 0;
-  };
-
   // Registers (or looks up) a file of the given size. Re-registering an
   // existing name with a different size is a hard error and aborts: two
   // runtimes disagreeing about an image's size would corrupt every refcount
@@ -75,54 +42,33 @@ class SharedFileRegistry {
   uint64_t FilePageCount(FileId file) const;
   const std::string& FileName(FileId file) const;
 
-  // Subscribes `listener` to mapper-count changes of `file`. A listener may
-  // register several times with distinct cookies (one per mapping region).
-  void AddListener(FileId file, MapperListener* listener, uint64_t cookie);
-  void RemoveListener(FileId file, MapperListener* listener, uint64_t cookie);
-
-  // A process faulted a span of pages in (resident-clean): one new mapper
-  // for every set bit of every word in `changes`. Words must be disjoint and
-  // masks non-empty. Fills each entry's `uniform` and notifies all listeners
-  // except (skip, skip_cookie) ONCE with the whole span.
-  void AddMappersBatch(FileId file, WordChange* changes, size_t count,
-                       MapperListener* skip = nullptr, uint64_t skip_cookie = 0);
-  // A process dropped a span of pages (unmap, release, or COW upgrade).
-  void RemoveMappersBatch(FileId file, WordChange* changes, size_t count,
-                          MapperListener* skip = nullptr, uint64_t skip_cookie = 0);
-
-  // Single-word conveniences over the batch calls. Return the post-change
-  // refcount shared by every changed page, or 0 if they differ.
-  uint32_t AddMappers(FileId file, uint64_t base_page, uint64_t mask,
-                      MapperListener* skip = nullptr, uint64_t skip_cookie = 0);
-  uint32_t RemoveMappers(FileId file, uint64_t base_page, uint64_t mask,
-                         MapperListener* skip = nullptr, uint64_t skip_cookie = 0);
+  // A process faulted the pages of bitmap word `word` selected by `mask` (bit
+  // i = page word * 64 + i) in clean: one more mapper for each. `mask` must be
+  // non-empty and lie inside the file.
+  void AddMappers(FileId file, uint64_t word, uint64_t mask);
+  // A process dropped those pages (unmap, release, swap-out or COW upgrade).
+  void RemoveMappers(FileId file, uint64_t word, uint64_t mask);
 
   // Single-page conveniences. Return the new refcount.
-  uint32_t AddMapper(FileId file, uint64_t page_index, MapperListener* skip = nullptr,
-                     uint64_t skip_cookie = 0);
-  uint32_t RemoveMapper(FileId file, uint64_t page_index, MapperListener* skip = nullptr,
-                        uint64_t skip_cookie = 0);
+  uint32_t AddMapper(FileId file, uint64_t page_index);
+  uint32_t RemoveMapper(FileId file, uint64_t page_index);
 
   uint32_t MapperCount(FileId file, uint64_t page_index) const;
-  // Direct read access to the per-page refcounts, for mapper bookkeeping that
-  // walks many pages at once (address-space histogram updates).
+  // Direct read access for query-time accounting: the per-page refcounts and
+  // the per-word uniform refcount (0 = the word's pages differ).
   const uint32_t* PageRefcounts(FileId file) const;
+  const uint32_t* WordRefcounts(FileId file) const;
 
  private:
-  struct Mapping {
-    MapperListener* listener = nullptr;
-    uint64_t cookie = 0;
-  };
-
   struct FileEntry {
     std::string name;
     uint64_t size_bytes = 0;
     std::vector<uint32_t> page_refcounts;
-    std::vector<Mapping> mappings;
+    std::vector<uint32_t> word_refcounts;
   };
 
-  void Notify(const FileEntry& entry, const WordChange* changes, size_t count, int delta,
-              const MapperListener* skip, uint64_t skip_cookie);
+  // Recomputes word `word`'s uniform refcount from its pages.
+  static void RescanWord(FileEntry& entry, uint64_t word);
 
   std::vector<FileEntry> files_;
   std::unordered_map<std::string, FileId> by_name_;

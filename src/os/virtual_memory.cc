@@ -37,10 +37,8 @@ VirtualAddressSpace::VirtualAddressSpace(SharedFileRegistry* registry, PhysicalM
 }
 
 VirtualAddressSpace::~VirtualAddressSpace() {
-  for (RegionId id = 0; id < regions_.size(); ++id) {
-    if (regions_[id].live) {
-      Unmap(id);
-    }
+  while (head_ != kNoSlot) {
+    Unmap(slots_[head_].id);
   }
   // Detach after the unmaps so every dropped page flowed back to the node.
   if (node_ != nullptr) {
@@ -52,63 +50,115 @@ VirtualAddressSpace::~VirtualAddressSpace() {
 void VirtualAddressSpace::DieOutOfRange(const char* op, RegionId region, uint64_t last_page,
                                         uint64_t num_pages) {
   std::fprintf(stderr,
-               "VirtualAddressSpace::%s out of range: page %llu of region %u "
+               "VirtualAddressSpace::%s out of range: page %llu of region %llu "
                "(%llu pages)\n",
-               op, static_cast<unsigned long long>(last_page), region,
+               op, static_cast<unsigned long long>(last_page),
+               static_cast<unsigned long long>(region),
                static_cast<unsigned long long>(num_pages));
   std::abort();
 }
 
 void VirtualAddressSpace::DieDeadRegion(RegionId region, size_t num_regions) {
   std::fprintf(stderr,
-               "VirtualAddressSpace: access to dead or unknown region %u "
+               "VirtualAddressSpace: access to dead or unknown region %llu "
                "(%zu regions mapped) — double Unmap/Decommit?\n",
-               region, num_regions);
+               static_cast<unsigned long long>(region), num_regions);
   std::abort();
 }
 
-RegionId VirtualAddressSpace::MapAnonymous(std::string name, uint64_t bytes) {
-  assert(bytes > 0);
-  Region r;
-  r.name = std::move(name);
-  r.kind = RegionKind::kAnonymous;
-  r.pages = PageBitmap(BytesToPages(bytes));
-  regions_.push_back(std::move(r));
-  return static_cast<RegionId>(regions_.size() - 1);
+VirtualAddressSpace::Region& VirtualAddressSpace::NewRegion(std::string_view name,
+                                                            uint64_t ordinal, RegionKind kind,
+                                                            FileId file, uint64_t pages) {
+  uint32_t slot;
+  if (!parked_.empty()) {
+    slot = parked_.back();
+    parked_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Region& r = slots_[slot];
+  r.id = (next_sequence_++ << 32) | slot;
+  r.name.assign(name);  // reuses the parked name's capacity
+  r.ordinal = ordinal;
+  r.kind = kind;
+  r.file = file;
+  r.pages.Reset(pages);
+  r.dirty_pages = 0;
+  r.clean_pages = 0;
+  r.swapped_pages = 0;
+  r.never_written = true;
+  r.prev = tail_;
+  r.next = kNoSlot;
+  if (tail_ != kNoSlot) {
+    slots_[tail_].next = slot;
+  } else {
+    head_ = slot;
+  }
+  tail_ = slot;
+  ++live_regions_;
+  return r;
 }
 
-RegionId VirtualAddressSpace::MapFile(std::string name, FileId file, uint64_t bytes) {
+RegionId VirtualAddressSpace::MapAnonymous(std::string_view name, uint64_t bytes,
+                                           uint64_t ordinal) {
+  assert(bytes > 0);
+  return NewRegion(name, ordinal, RegionKind::kAnonymous, kInvalidFileId, BytesToPages(bytes))
+      .id;
+}
+
+RegionId VirtualAddressSpace::MapFile(std::string_view name, FileId file, uint64_t bytes) {
   assert(registry_ != nullptr);
   const uint64_t file_bytes = registry_->FileSizeBytes(file);
   if (bytes == 0) {
     bytes = file_bytes;
   }
   assert(bytes <= file_bytes);
-  Region r;
-  r.name = std::move(name);
-  r.kind = RegionKind::kFileBacked;
-  r.file = file;
-  r.pages = PageBitmap(BytesToPages(bytes));
-  regions_.push_back(std::move(r));
-  const RegionId id = static_cast<RegionId>(regions_.size() - 1);
-  registry_->AddListener(file, this, id);
-  return id;
+  const Region& r =
+      NewRegion(name, kNoOrdinal, RegionKind::kFileBacked, file, BytesToPages(bytes));
+  file_slots_.push_back(static_cast<uint32_t>(SlotOf(r.id)));
+  return r.id;
 }
 
 void VirtualAddressSpace::Unmap(RegionId region) {
   Region& r = GetRegion(region);
-  if (r.pages.num_pages() > 0) {
-    DropPageRange(r, region, 0, r.pages.num_pages() - 1);
-  }
+  const auto slot = static_cast<uint32_t>(SlotOf(region));
   if (r.kind == RegionKind::kFileBacked) {
-    registry_->RemoveListener(r.file, this, region);
+    // The only per-page work: clean pages give their mapper reference back.
+    uint64_t clean_left = r.clean_pages;
+    for (uint64_t w = 0; clean_left != 0; ++w) {
+      const uint64_t clean = r.pages.lo(w) & ~r.pages.hi(w);
+      if (clean != 0) {
+        registry_->RemoveMappers(r.file, w, clean);
+        clean_left -= Popcount(clean);
+      }
+    }
+    file_slots_.erase(std::find(file_slots_.begin(), file_slots_.end(), slot));
   }
-  r.live = false;
+  const uint64_t resident = r.dirty_pages + r.clean_pages;
+  resident_pages_ -= resident;
+  swapped_pages_ -= r.swapped_pages;
+  clean_pages_ -= r.clean_pages;
+  if (resident != 0 || r.swapped_pages != 0) {
+    NodeDelta(-static_cast<int64_t>(resident), -static_cast<int64_t>(r.swapped_pages));
+  }
+  if (resident != 0) {
+    ++residency_epoch_;
+  }
+  (r.prev != kNoSlot ? slots_[r.prev].next : head_) = r.next;
+  (r.next != kNoSlot ? slots_[r.next].prev : tail_) = r.prev;
+  // Park the slot: its bitmap and name storage serve the next mapping, which
+  // resets them.
+  r.id = kInvalidRegionId;
+  r.name.clear();
+  --live_regions_;
+  parked_.push_back(slot);
 }
 
 TouchResult VirtualAddressSpace::Touch(RegionId region, uint64_t offset, uint64_t len,
                                        bool write) {
   TouchResult result;
+  const uint64_t slot = SlotOf(region);
   {
     Region& r = GetRegion(region);
     if (len == 0) {
@@ -124,7 +174,7 @@ TouchResult VirtualAddressSpace::Touch(RegionId region, uint64_t offset, uint64_
   }
   const uint64_t first = offset / kPageSize;
   const uint64_t last = (offset + len - 1) / kPageSize;
-  const bool file_backed = regions_[region].kind == RegionKind::kFileBacked;
+  const bool file_backed = slots_[slot].kind == RegionKind::kFileBacked;
   const uint64_t first_word = first / kW;
   const uint64_t last_word = last / kW;
   for (uint64_t w = first_word; w <= last_word; ++w) {
@@ -134,8 +184,8 @@ TouchResult VirtualAddressSpace::Touch(RegionId region, uint64_t offset, uint64_
     for (int attempt = 0;; ++attempt) {
       // Re-resolved each attempt: emergency relief below may run arbitrary
       // GC work against this very address space, so after it returns both
-      // the regions vector and this word's bits must be re-read.
-      Region& r = regions_[region];
+      // the slot vector and this word's bits must be re-read.
+      Region& r = slots_[slot];
       uint64_t& lo = r.pages.lo(w);
       uint64_t& hi = r.pages.hi(w);
       const uint64_t np = ~lo & ~hi & mask;     // kNotPresent
@@ -150,17 +200,6 @@ TouchResult VirtualAddressSpace::Touch(RegionId region, uint64_t offset, uint64_
       // byte-identical to the pre-pressure model.
       const uint64_t need = Popcount(np) + Popcount(swapped);
       if (node_ != nullptr && need != 0) {
-        // The gate can run the node's reclaim ladder (which reads other
-        // spaces' accounting) and, below, emergency relief (which re-enters
-        // THIS space); queued clean-page words from earlier iterations must
-        // be settled before either can look.
-        if (file_backed) {
-          if (write) {
-            FlushCleanDropped(r, region);
-          } else {
-            FlushCleanMapped(r, region);
-          }
-        }
         // Sticky denial: once a commit failed for good this address space is
         // doomed (its owner is about to be OOM-killed); later touches fail
         // immediately instead of re-running the node's reclaim ladder.
@@ -191,9 +230,13 @@ TouchResult VirtualAddressSpace::Touch(RegionId region, uint64_t offset, uint64_
       if (file_backed && !write) {
         // NotPresent -> Clean (shared with the page cache), Swapped -> Dirty
         // (a swapped file page was COW'd before it went to swap).
-        QueueCleanWord(w, np);
+        if (np != 0) {
+          registry_->AddMappers(r.file, w, np);
+        }
         result.minor_faults += n_np;
         result.swap_ins += n_sw;
+        r.clean_pages += n_np;
+        clean_pages_ += n_np;
         r.dirty_pages += n_sw;
         r.swapped_pages -= n_sw;
         resident_pages_ += n_np + n_sw;
@@ -203,10 +246,14 @@ TouchResult VirtualAddressSpace::Touch(RegionId region, uint64_t offset, uint64_
       } else if (file_backed) {
         // write: NotPresent -> Dirty, Clean -> Dirty (COW), Swapped -> Dirty.
         const uint64_t n_cl = Popcount(clean);
-        QueueCleanWord(w, clean);
+        if (clean != 0) {
+          registry_->RemoveMappers(r.file, w, clean);
+        }
         result.minor_faults += n_np;
         result.swap_ins += n_sw;
         result.cow_faults += n_cl;
+        r.clean_pages -= n_cl;
+        clean_pages_ -= n_cl;
         r.dirty_pages += n_np + n_sw + n_cl;
         r.swapped_pages -= n_sw;
         resident_pages_ += n_np + n_sw;  // COW'd pages were already resident
@@ -227,14 +274,6 @@ TouchResult VirtualAddressSpace::Touch(RegionId region, uint64_t offset, uint64_
         lo &= ~swapped;
       }
       break;
-    }
-  }
-  if (file_backed) {
-    Region& r = regions_[region];
-    if (write) {
-      FlushCleanDropped(r, region);
-    } else {
-      FlushCleanMapped(r, region);
     }
   }
   if (touch_listener_ != nullptr) {
@@ -264,7 +303,24 @@ uint64_t VirtualAddressSpace::Release(RegionId region, uint64_t offset, uint64_t
   if (last > r.pages.num_pages()) {
     DieOutOfRange("Release", region, last - 1, r.pages.num_pages());
   }
-  return DropPageRange(r, region, first, last - 1);
+  return DropPageRange(r, first, last - 1);
+}
+
+uint64_t VirtualAddressSpace::ReleaseUnsharedFileRegions() {
+  uint64_t released = 0;
+  for (const uint32_t slot : file_slots_) {
+    Region& r = slots_[slot];
+    if (!r.never_written || r.clean_pages == 0) {
+      continue;
+    }
+    bool shared = false;
+    ForEachCleanCount(r, [&](uint32_t count, uint64_t) { shared |= count >= 2; });
+    if (shared) {
+      continue;  // mapped by another process: leave it to sharing
+    }
+    released += DropPageRange(r, 0, r.pages.num_pages() - 1);
+  }
+  return released;
 }
 
 uint64_t VirtualAddressSpace::SwapOutPages(uint64_t max_pages) {
@@ -282,17 +338,13 @@ uint64_t VirtualAddressSpace::SwapOutPagesLimited(uint64_t max_pages, uint64_t m
                                                   uint64_t* swap_writes) {
   uint64_t reclaimed = 0;
   uint64_t written = 0;
-  for (RegionId id = 0; id < regions_.size() && reclaimed < max_pages; ++id) {
-    Region& r = regions_[id];
-    if (!r.live) {
-      continue;
-    }
-    if (written >= max_swap_writes && r.clean_pages == 0) {
-      // The swap device is full and the region holds no clean file page:
-      // nothing in it can go, so skip the word scan.
-      continue;
-    }
+  const auto scan = [&](Region& r) {
     for (uint64_t w = 0; w < r.pages.num_words() && reclaimed < max_pages; ++w) {
+      if (written >= max_swap_writes && r.clean_pages == 0) {
+        // The swap device is full and the region holds no clean file page
+        // any more: nothing else in it can go.
+        return;
+      }
       uint64_t& lo = r.pages.lo(w);
       uint64_t& hi = r.pages.hi(w);
       uint64_t dirty = hi & ~lo;
@@ -329,9 +381,13 @@ uint64_t VirtualAddressSpace::SwapOutPagesLimited(uint64_t max_pages, uint64_t m
       // Dirty pages go to the swap device; clean file pages are not written
       // to swap — the kernel just drops them from the page cache and re-reads
       // the file on the next fault.
-      QueueCleanWord(w, clean);
+      if (clean != 0) {
+        registry_->RemoveMappers(r.file, w, clean);
+      }
       const uint64_t n_d = Popcount(dirty);
       const uint64_t n_c = Popcount(clean);
+      r.clean_pages -= n_c;
+      clean_pages_ -= n_c;
       r.dirty_pages -= n_d;
       r.swapped_pages += n_d;
       resident_pages_ -= n_d + n_c;
@@ -341,7 +397,22 @@ uint64_t VirtualAddressSpace::SwapOutPagesLimited(uint64_t max_pages, uint64_t m
       reclaimed += n_d + n_c;
       written += n_d;
     }
-    FlushCleanDropped(r, id);
+  };
+  // Regions in creation order while the swap device has room.
+  uint32_t slot = head_;
+  for (; slot != kNoSlot && reclaimed < max_pages && written < max_swap_writes;
+       slot = slots_[slot].next) {
+    scan(slots_[slot]);
+  }
+  if (slot != kNoSlot && reclaimed < max_pages) {
+    // The device is full: only clean file pages can still go, so the rest of
+    // the walk visits the file-backed regions from `slot` on.
+    const RegionId from = slots_[slot].id;
+    auto it = std::lower_bound(file_slots_.begin(), file_slots_.end(), from,
+                               [&](uint32_t s, RegionId id) { return slots_[s].id < id; });
+    for (; it != file_slots_.end() && reclaimed < max_pages; ++it) {
+      scan(slots_[*it]);
+    }
   }
   if (reclaimed != 0) {
     ++residency_epoch_;
@@ -352,16 +423,74 @@ uint64_t VirtualAddressSpace::SwapOutPagesLimited(uint64_t max_pages, uint64_t m
   return reclaimed;
 }
 
+template <typename Fn>
+void VirtualAddressSpace::ForEachCleanCount(const Region& r, Fn&& fn) const {
+  if (r.clean_pages == 0) {
+    return;
+  }
+  const uint32_t* word_counts = registry_->WordRefcounts(r.file);
+  const uint32_t* page_counts = registry_->PageRefcounts(r.file);
+  uint64_t seen = 0;
+  for (uint64_t w = 0; w < r.pages.num_words(); ++w) {
+    const uint64_t clean = r.pages.lo(w) & ~r.pages.hi(w);
+    if (clean == 0) {
+      continue;
+    }
+    const uint64_t n = Popcount(clean);
+    if (word_counts[w] != 0) {
+      fn(word_counts[w], n);
+    } else {
+      ForEachSetBit(clean, [&](uint64_t bit) { fn(page_counts[w * kW + bit], uint64_t{1}); });
+    }
+    seen += n;
+    if (seen == r.clean_pages) {
+      return;
+    }
+  }
+}
+
+uint64_t VirtualAddressSpace::UssBytes() const {
+  uint64_t singly_mapped = 0;
+  for (const uint32_t slot : file_slots_) {
+    ForEachCleanCount(slots_[slot], [&](uint32_t count, uint64_t pages) {
+      singly_mapped += count == 1 ? pages : 0;
+    });
+  }
+  return PagesToBytes(resident_pages_ - clean_pages_ + singly_mapped);
+}
+
 MemoryUsage VirtualAddressSpace::Usage() const {
+  // hist[c] = this space's clean pages whose file page has c mappers. Counts
+  // past the inline buckets (more than 63 co-mappers) spill to the heap.
+  constexpr uint32_t kInline = 64;
+  uint64_t hist[kInline] = {};
+  std::vector<uint64_t> spill;
+  uint32_t max_count = 0;
+  for (const uint32_t slot : file_slots_) {
+    ForEachCleanCount(slots_[slot], [&](uint32_t count, uint64_t pages) {
+      if (count < kInline) {
+        hist[count] += pages;
+      } else {
+        if (count >= spill.size()) {
+          spill.resize(count + 1, 0);
+        }
+        spill[count] += pages;
+      }
+      max_count = std::max(max_count, count);
+    });
+  }
   MemoryUsage usage;
   usage.rss = PagesToBytes(resident_pages_);
   usage.swapped = PagesToBytes(swapped_pages_);
   const uint64_t dirty_pages = resident_pages_ - clean_pages_;
-  usage.uss = PagesToBytes(dirty_pages + SinglyMappedCleanPages());
+  usage.uss = PagesToBytes(dirty_pages + hist[1]);
+  // PSS's shared term, summed by ascending mapper count so the result does
+  // not depend on region or page order.
   double pss = static_cast<double>(PagesToBytes(dirty_pages));
-  for (uint32_t count = 1; count < clean_hist_.size(); ++count) {
-    if (clean_hist_[count] != 0) {
-      pss += static_cast<double>(clean_hist_[count]) *
+  for (uint32_t count = 1; count <= max_count; ++count) {
+    const uint64_t pages = count < kInline ? hist[count] : spill[count];
+    if (pages != 0) {
+      pss += static_cast<double>(pages) *
              (static_cast<double>(kPageSize) / static_cast<double>(count));
     }
   }
@@ -371,20 +500,24 @@ MemoryUsage VirtualAddressSpace::Usage() const {
 
 std::vector<RegionInfo> VirtualAddressSpace::Smaps() const {
   std::vector<RegionInfo> infos;
-  for (RegionId id = 0; id < regions_.size(); ++id) {
-    const Region& r = regions_[id];
-    if (!r.live) {
-      continue;
-    }
+  infos.reserve(live_regions_);
+  for (uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
+    const Region& r = slots_[slot];
     RegionInfo info;
-    info.id = id;
-    info.name = r.name;
+    info.id = r.id;
+    info.name = r.ordinal == kNoOrdinal ? r.name : r.name + std::to_string(r.ordinal);
     info.kind = r.kind;
     info.size_bytes = PagesToBytes(r.pages.num_pages());
     info.never_written = r.never_written;
     info.private_dirty = PagesToBytes(r.dirty_pages);
-    info.private_clean = PagesToBytes(r.clean_pages - r.shared_clean_pages);
-    info.shared_clean = PagesToBytes(r.shared_clean_pages);
+    uint64_t shared_clean = 0;
+    if (r.kind == RegionKind::kFileBacked) {
+      ForEachCleanCount(r, [&](uint32_t count, uint64_t pages) {
+        shared_clean += count >= 2 ? pages : 0;
+      });
+    }
+    info.private_clean = PagesToBytes(r.clean_pages - shared_clean);
+    info.shared_clean = PagesToBytes(shared_clean);
     info.swapped = PagesToBytes(r.swapped_pages);
     infos.push_back(std::move(info));
   }
@@ -419,155 +552,20 @@ uint64_t VirtualAddressSpace::ResidentPagesInRegion(RegionId region) const {
 }
 
 VirtualAddressSpace::Region& VirtualAddressSpace::GetRegion(RegionId region) {
-  if (region >= regions_.size() || !regions_[region].live) {
-    DieDeadRegion(region, regions_.size());
+  if (!RegionLive(region)) {
+    DieDeadRegion(region, live_regions_);
   }
-  return regions_[region];
+  return slots_[SlotOf(region)];
 }
 
 const VirtualAddressSpace::Region& VirtualAddressSpace::GetRegion(RegionId region) const {
-  if (region >= regions_.size() || !regions_[region].live) {
-    DieDeadRegion(region, regions_.size());
+  if (!RegionLive(region)) {
+    DieDeadRegion(region, live_regions_);
   }
-  return regions_[region];
+  return slots_[SlotOf(region)];
 }
 
-void VirtualAddressSpace::OnMapperWordsChanged(uint64_t cookie,
-                                               const SharedFileRegistry::WordChange* changes,
-                                               size_t count, int delta,
-                                               const uint32_t* page_refcounts) {
-  Region& r = regions_[cookie];
-  if (!r.live) {
-    return;
-  }
-  const uint64_t num_words = r.pages.num_words();
-  // Shared-image fast path: a region whose every page is resident-clean (the
-  // steady state of a mapped runtime image) has lo = all-ones / hi = 0 for
-  // every fully-covered word, so `affected` is the change mask itself — no
-  // need to pull the word's two bitmap cache lines per notification.
-  const bool fully_clean = r.dirty_pages == 0 && r.swapped_pages == 0 &&
-                           r.clean_pages == r.pages.num_pages();
-  const uint64_t full_words = r.pages.num_pages() / PageBitmap::kPagesPerWord;
-  for (size_t i = 0; i < count; ++i) {
-    const SharedFileRegistry::WordChange& ch = changes[i];
-    const uint64_t word = ch.base_page / PageBitmap::kPagesPerWord;
-    uint64_t affected;
-    if (fully_clean && word < full_words) {
-      affected = ch.mask;
-    } else {
-      if (word >= num_words) {
-        continue;
-      }
-      // Only the pages we currently hold clean contribute to our USS/PSS
-      // terms.
-      affected = r.pages.lo(word) & ~r.pages.hi(word) & ch.mask;
-    }
-    if (affected == 0) {
-      continue;
-    }
-    if (ch.uniform != 0) {
-      // Every changed page landed on the same count: account for the whole
-      // word at once.
-      const uint32_t new_count = ch.uniform;
-      const uint32_t old_count =
-          static_cast<uint32_t>(static_cast<int64_t>(new_count) - delta);
-      assert(old_count >= 1 && new_count >= 1);
-      const uint64_t n = Popcount(affected);
-      HistRemove(old_count, n);
-      HistAdd(new_count, n);
-      if (old_count == 1 && new_count == 2) {
-        r.shared_clean_pages += n;
-        shared_clean_pages_ += n;
-      } else if (old_count == 2 && new_count == 1) {
-        r.shared_clean_pages -= n;
-        shared_clean_pages_ -= n;
-      }
-      continue;
-    }
-    ForEachSetBit(affected, [&](uint64_t bit) {
-      const uint32_t new_count = page_refcounts[ch.base_page + bit];
-      const uint32_t old_count =
-          static_cast<uint32_t>(static_cast<int64_t>(new_count) - delta);
-      // We hold one of the mappings, so the count can never drop to 0 under us.
-      assert(old_count >= 1 && new_count >= 1);
-      HistRemove(old_count);
-      HistAdd(new_count);
-      if (old_count == 1 && new_count == 2) {
-        ++r.shared_clean_pages;
-        ++shared_clean_pages_;
-      } else if (old_count == 2 && new_count == 1) {
-        --r.shared_clean_pages;
-        --shared_clean_pages_;
-      }
-    });
-  }
-}
-
-void VirtualAddressSpace::FlushCleanMapped(Region& r, RegionId region) {
-  if (word_scratch_.empty()) {
-    return;
-  }
-  registry_->AddMappersBatch(r.file, word_scratch_.data(), word_scratch_.size(), this,
-                             region);
-  const uint32_t* refs = registry_->PageRefcounts(r.file);
-  uint64_t total = 0;
-  uint64_t shared = 0;
-  for (const SharedFileRegistry::WordChange& ch : word_scratch_) {
-    const uint64_t n = Popcount(ch.mask);
-    if (ch.uniform != 0) {
-      HistAdd(ch.uniform, n);
-      shared += ch.uniform >= 2 ? n : 0;
-    } else {
-      ForEachSetBit(ch.mask, [&](uint64_t bit) {
-        const uint32_t count = refs[ch.base_page + bit];
-        HistAdd(count);
-        if (count >= 2) {
-          ++shared;
-        }
-      });
-    }
-    total += n;
-  }
-  r.clean_pages += total;
-  clean_pages_ += total;
-  r.shared_clean_pages += shared;
-  shared_clean_pages_ += shared;
-  word_scratch_.clear();
-}
-
-void VirtualAddressSpace::FlushCleanDropped(Region& r, RegionId region) {
-  if (word_scratch_.empty()) {
-    return;
-  }
-  registry_->RemoveMappersBatch(r.file, word_scratch_.data(), word_scratch_.size(), this,
-                                region);
-  const uint32_t* refs = registry_->PageRefcounts(r.file);
-  uint64_t total = 0;
-  uint64_t shared = 0;
-  for (const SharedFileRegistry::WordChange& ch : word_scratch_) {
-    const uint64_t n = Popcount(ch.mask);
-    if (ch.uniform != 0) {
-      HistRemove(ch.uniform + 1, n);  // count before the drop
-      shared += ch.uniform + 1 >= 2 ? n : 0;
-    } else {
-      ForEachSetBit(ch.mask, [&](uint64_t bit) {
-        const uint32_t count = refs[ch.base_page + bit] + 1;  // count before the drop
-        HistRemove(count);
-        if (count >= 2) {
-          ++shared;
-        }
-      });
-    }
-    total += n;
-  }
-  r.clean_pages -= total;
-  clean_pages_ -= total;
-  r.shared_clean_pages -= shared;
-  shared_clean_pages_ -= shared;
-  word_scratch_.clear();
-}
-
-uint64_t VirtualAddressSpace::DropPageRange(Region& r, RegionId region, uint64_t first_page,
+uint64_t VirtualAddressSpace::DropPageRange(Region& r, uint64_t first_page,
                                             uint64_t last_page) {
   uint64_t dropped = 0;
   uint64_t dropped_resident = 0;
@@ -581,10 +579,14 @@ uint64_t VirtualAddressSpace::DropPageRange(Region& r, RegionId region, uint64_t
     const uint64_t clean = lo & ~hi & mask;
     const uint64_t dirty = hi & ~lo & mask;
     const uint64_t swapped = lo & hi & mask;
-    QueueCleanWord(w, clean);
+    if (clean != 0) {
+      registry_->RemoveMappers(r.file, w, clean);
+    }
     const uint64_t n_d = Popcount(dirty);
     const uint64_t n_c = Popcount(clean);
     const uint64_t n_s = Popcount(swapped);
+    r.clean_pages -= n_c;
+    clean_pages_ -= n_c;
     r.dirty_pages -= n_d;
     r.swapped_pages -= n_s;
     resident_pages_ -= n_d + n_c;
@@ -595,7 +597,6 @@ uint64_t VirtualAddressSpace::DropPageRange(Region& r, RegionId region, uint64_t
     dropped += n_d + n_c + n_s;
     dropped_resident += n_d + n_c;
   });
-  FlushCleanDropped(r, region);
   if (dropped_resident != 0) {
     ++residency_epoch_;
   }

@@ -16,21 +16,27 @@
 // heap simulators, which report their page activity here. USS/RSS/PSS are
 // derived purely from page states plus the SharedFileRegistry refcounts.
 //
-// Accounting is incremental: page states live in a two-bitmap PageBitmap with
-// word-at-a-time transition paths, and every transition updates per-region
-// counters (dirty / clean / shared-clean / swapped) plus address-space
-// aggregates. Queries never rescan pages: Usage() is O(1) + O(distinct
-// refcounts), Smaps() is O(live regions), ResidentPagesInRange() is a
-// popcount over the covered bitmap words. The PSS term for shared clean
-// pages is kept exact through a refcount histogram that the
-// SharedFileRegistry's MapperListener callbacks maintain when *other*
-// processes fault or drop shared pages.
+// Page states live in a two-bitmap PageBitmap with word-at-a-time transition
+// paths, and every transition updates per-region counters (dirty / clean /
+// swapped) plus address-space aggregates, so RSS and swap are O(1) and
+// ResidentPagesInRange() is a popcount over the covered bitmap words. The
+// shared-page terms (which clean pages other processes also map) are derived
+// when queried: UssBytes(), Usage() and Smaps() walk the clean words of each
+// file-backed region against the registry's refcounts, one O(1) step per
+// word whose pages share a refcount. A refcount change therefore costs the
+// process that makes it O(its own pages) and costs no other mapper anything.
+//
+// Region lifecycle allocates nothing in the steady state. An unmapped
+// region's slot (its page bitmap and name storage) is parked and serves the
+// next mapping; live regions are chained in creation order for the scans.
+// A RegionId carries a creation sequence number above the slot index, so ids
+// grow in creation order and a stale id never names the slot's next tenant.
 #ifndef DESICCANT_SRC_OS_VIRTUAL_MEMORY_H_
 #define DESICCANT_SRC_OS_VIRTUAL_MEMORY_H_
 
-#include <cassert>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/units.h"
@@ -54,8 +60,9 @@ class PressureReliefHandler {
   ~PressureReliefHandler() = default;
 };
 
-using RegionId = uint32_t;
-inline constexpr RegionId kInvalidRegionId = ~0u;
+// (creation sequence << 32) | slot index; see the header comment.
+using RegionId = uint64_t;
+inline constexpr RegionId kInvalidRegionId = ~0ull;
 
 // Observes the page ranges Touch() actually faulted or re-touched. Used by the
 // snapshot subsystem's WorkingSetRecorder to capture a function's first-
@@ -122,21 +129,26 @@ struct RegionInfo {
   bool never_written = true;
 };
 
-class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
+class VirtualAddressSpace {
  public:
+  // Region names are a base name plus, optionally, an ordinal that Smaps()
+  // appends ("v8_old/chunk" + 12). Spaces that map many short-lived regions
+  // name them this way, so mapping one formats no string.
+  static constexpr uint64_t kNoOrdinal = ~0ull;
+
   // `registry` may be null for processes that never map files. `node` is the
   // node's physical memory; null (or a zero budget) means infinite memory
   // and keeps every code path byte-identical to the pre-pressure model.
   explicit VirtualAddressSpace(SharedFileRegistry* registry,
                                PhysicalMemory* node = nullptr);
-  ~VirtualAddressSpace() override;
+  ~VirtualAddressSpace();
 
   VirtualAddressSpace(const VirtualAddressSpace&) = delete;
   VirtualAddressSpace& operator=(const VirtualAddressSpace&) = delete;
 
-  RegionId MapAnonymous(std::string name, uint64_t bytes);
+  RegionId MapAnonymous(std::string_view name, uint64_t bytes, uint64_t ordinal = kNoOrdinal);
   // Maps the first `bytes` of `file` (defaults to the whole file).
-  RegionId MapFile(std::string name, FileId file, uint64_t bytes = 0);
+  RegionId MapFile(std::string_view name, FileId file, uint64_t bytes = 0);
   void Unmap(RegionId region);
 
   // Faults pages of [offset, offset + len) in. `write` upgrades file pages to
@@ -155,6 +167,12 @@ class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
     return Release(region, offset, len);
   }
 
+  // §4.6 library unmap, OS side: releases every never-written file-backed
+  // region that holds a clean page and shares none of its clean pages with
+  // another mapping. Regions are decided one by one in creation order.
+  // Returns pages released.
+  uint64_t ReleaseUnsharedFileRegions();
+
   // Moves up to `max_pages` resident pages of the whole address space to the
   // swap device, scanning regions in map order without any knowledge of which
   // pages hold live data (this is the semantics-blind baseline of §5.6).
@@ -169,6 +187,7 @@ class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
   uint64_t SwapOutPagesLimited(uint64_t max_pages, uint64_t max_swap_writes,
                                uint64_t* swap_writes);
 
+  // Derived on query: O(clean words of the file-backed regions).
   MemoryUsage Usage() const;
   std::vector<RegionInfo> Smaps() const;
 
@@ -182,10 +201,14 @@ class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
   uint64_t swapped_pages() const { return swapped_pages_; }
   uint64_t RssBytes() const { return PagesToBytes(resident_pages_); }
   // USS = private dirty pages + clean file pages mapped by exactly this
-  // mapping. The singly-mapped clean population is clean_hist_[1].
-  uint64_t UssBytes() const {
-    return PagesToBytes(resident_pages_ - clean_pages_ + SinglyMappedCleanPages());
-  }
+  // mapping. Derived on query like Usage().
+  uint64_t UssBytes() const;
+
+  // Region storage: slots ever needed (live plus parked) and live regions.
+  // Slots track the peak number of simultaneously live regions, not the
+  // number of regions ever mapped.
+  size_t region_slots() const { return slots_.size(); }
+  size_t live_regions() const { return live_regions_; }
 
   // The node this space is attached to (null = infinite memory).
   PhysicalMemory* node() const { return node_; }
@@ -219,74 +242,50 @@ class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
   // holders of recorded RegionIds validate them before range queries, which
   // hard-abort on dead regions.
   bool RegionLive(RegionId region) const {
-    return region < regions_.size() && regions_[region].live;
+    const uint64_t slot = SlotOf(region);
+    return slot < slots_.size() && slots_[slot].id == region;
   }
 
  private:
+  static constexpr uint32_t kNoSlot = ~0u;
+
+  // The fields every Touch and residency probe reads come first.
   struct Region {
-    std::string name;
-    RegionKind kind = RegionKind::kAnonymous;
-    FileId file = kInvalidFileId;
-    PageBitmap pages{0};
+    RegionId id = kInvalidRegionId;  // kInvalidRegionId while the slot is parked
     // Incremental per-state page counts; transitions keep these exact.
     uint64_t dirty_pages = 0;
     uint64_t clean_pages = 0;
-    uint64_t shared_clean_pages = 0;  // clean pages with mapper count >= 2
     uint64_t swapped_pages = 0;
+    PageBitmap pages{0};
+    RegionKind kind = RegionKind::kAnonymous;
     bool never_written = true;
-    bool live = true;
+    FileId file = kInvalidFileId;
+    // Neighbours in the creation-ordered live list.
+    uint32_t prev = kNoSlot;
+    uint32_t next = kNoSlot;
+    uint64_t ordinal = kNoOrdinal;
+    std::string name;
   };
 
+  static uint64_t SlotOf(RegionId region) { return region & 0xffffffffull; }
+
+  // Claims a parked slot (or a new one), links it at the tail of the live
+  // list, and gives it the next id.
+  Region& NewRegion(std::string_view name, uint64_t ordinal, RegionKind kind, FileId file,
+                    uint64_t pages);
   Region& GetRegion(RegionId region);
   const Region& GetRegion(RegionId region) const;
 
-  // SharedFileRegistry::MapperListener: another mapping of a file we map
-  // changed refcounts across a span of words; move our clean-page accounting
-  // for the pages we hold clean accordingly. One region lookup covers the
-  // whole span.
-  void OnMapperWordsChanged(uint64_t cookie, const SharedFileRegistry::WordChange* changes,
-                            size_t count, int delta,
-                            const uint32_t* page_refcounts) override;
-
-  // Clean-page bookkeeping around registry refcounts. Word transitions are
-  // queued into `word_scratch_` (bit i of `mask` = page word * 64 + i) and
-  // flushed as ONE registry batch per logical operation: Flush* applies the
-  // refcount deltas, notifies the other mappers once, and settles our own
-  // histogram, shared/private split, and clean counters. Callers are
-  // responsible for the resident/dirty/swapped side of the transition, and
-  // MUST flush before any call that can observe memory accounting or re-enter
-  // this space (the commit gate's RequestPages, and therefore emergency
-  // relief). Per-word counter moves commute and queued words are disjoint,
-  // so deferral is byte-identical to the old eager per-word protocol.
-  void QueueCleanWord(uint64_t word, uint64_t mask) {
-    if (mask != 0) {
-      word_scratch_.push_back(
-          SharedFileRegistry::WordChange{word * PageBitmap::kPagesPerWord, mask, 0});
-    }
-  }
-  void FlushCleanMapped(Region& r, RegionId region);
-  void FlushCleanDropped(Region& r, RegionId region);
-
-  void HistAdd(uint32_t count, uint64_t n = 1) {
-    if (count >= clean_hist_.size()) {
-      clean_hist_.resize(count + 1, 0);
-    }
-    clean_hist_[count] += n;
-  }
-  void HistRemove(uint32_t count, uint64_t n = 1) {
-    assert(count < clean_hist_.size());
-    assert(clean_hist_[count] >= n);
-    clean_hist_[count] -= n;
-  }
-  uint64_t SinglyMappedCleanPages() const {
-    return clean_hist_.size() > 1 ? clean_hist_[1] : 0;
-  }
+  // Calls fn(mapper_count, pages) for the pages `r` holds clean, grouped by
+  // bitmap word: one call per word whose pages share a count, else one per
+  // page. Stops once all of the region's clean pages were reported.
+  template <typename Fn>
+  void ForEachCleanCount(const Region& r, Fn&& fn) const;
 
   // Drops all pages of [first_page, last_page] (inclusive) to kNotPresent,
   // word-at-a-time. Returns the number of previously present (resident or
   // swapped) pages.
-  uint64_t DropPageRange(Region& r, RegionId region, uint64_t first_page,
-                         uint64_t last_page);
+  uint64_t DropPageRange(Region& r, uint64_t first_page, uint64_t last_page);
 
   // Forwards a page-count transition to the attached node (no-op when
   // detached). Every resident/swapped counter update site calls this.
@@ -315,20 +314,22 @@ class VirtualAddressSpace : private SharedFileRegistry::MapperListener {
   // touches fail fast instead of re-scanning a saturated node per fault.
   bool commit_denied_ = false;
   uint64_t residency_epoch_ = 0;
-  std::vector<Region> regions_;
+  // Region slots, live and parked. A RegionId indexes this directly.
+  std::vector<Region> slots_;
+  // Parked slots, most recently unmapped last (reused first).
+  std::vector<uint32_t> parked_;
+  // Creation-ordered live list (oldest first) over slots_.
+  uint32_t head_ = kNoSlot;
+  uint32_t tail_ = kNoSlot;
+  size_t live_regions_ = 0;
+  uint64_t next_sequence_ = 0;
+  // Live file-backed regions' slots in creation order: the regions whose
+  // shared-page terms a query derives.
+  std::vector<uint32_t> file_slots_;
   // Address-space aggregates (sums of the per-region counters).
   uint64_t resident_pages_ = 0;
   uint64_t swapped_pages_ = 0;
   uint64_t clean_pages_ = 0;
-  uint64_t shared_clean_pages_ = 0;
-  // clean_hist_[c] = number of this space's clean pages whose file page
-  // currently has c mappers node-wide. PSS's shared term is
-  // sum_c clean_hist_[c] * kPageSize / c, exact and O(distinct refcounts).
-  std::vector<uint64_t> clean_hist_;
-  // Pending clean-page word transitions for the current Touch/Drop/SwapOut
-  // operation (see QueueCleanWord). Reused across operations so the steady
-  // state allocates nothing; empty whenever control leaves this space.
-  std::vector<SharedFileRegistry::WordChange> word_scratch_;
 };
 
 }  // namespace desiccant

@@ -128,6 +128,82 @@ TEST_F(InstanceTest, IdealUssIncludesLiveAndOverhead) {
 // ---------------------------------------------------------------------------
 // ChainStudy
 
+// Region storage follows the peak number of live regions, not every region
+// ever mapped: a warm V8 instance maps and unmaps chunks on every GC cycle,
+// and each unmapped chunk's slot serves the next one. (Before slots were
+// reused, 1000 warm pi invocations left 1378 region ids for 270 live
+// regions; now 271 slots hold 269.)
+TEST(InstanceRegionTest, RegionStorageStaysBoundedOverWarmInvocations) {
+  SharedFileRegistry registry;
+  Instance instance(1, FindWorkload("pi"), 0, 256 * kMiB, &registry, 1);
+  const VirtualAddressSpace& vas = instance.vas();
+  size_t peak_live = 0;
+  for (int i = 0; i < 1000; ++i) {
+    instance.Execute();
+    peak_live = std::max(peak_live, vas.live_regions());
+  }
+  EXPECT_LE(vas.region_slots(), peak_live + peak_live / 4 + 8);
+}
+
+// A working set recorded on the first invocation names chunks that later GC
+// cycles unmap. Their slots are reused by newer chunks under newer ids, so
+// ResidentPagesIn skips exactly the stale runs and never counts a newer
+// chunk's pages against an old run.
+TEST(InstanceRegionTest, StaleWorkingSetRunsAreSkipped) {
+  SharedFileRegistry registry;
+  Instance instance(1, FindWorkload("pi"), 0, 256 * kMiB, &registry, 1);
+  instance.ArmWorkingSetRecording();
+  instance.BeginWorkingSetRecording();
+  instance.Execute();
+  const WorkingSet ws = instance.FinishWorkingSetRecording();
+  ASSERT_FALSE(ws.empty());
+  RegionId newest_recorded = 0;
+  for (const WorkingSetRun& run : ws.runs) {
+    newest_recorded = std::max(newest_recorded, run.region);
+  }
+  const VirtualAddressSpace& vas = instance.vas();
+  size_t stale = 0;
+  for (int i = 0; i < 200 && stale == 0; ++i) {
+    instance.Execute();
+    instance.Freeze(0);
+    instance.Reclaim({}, /*unmap_idle_libraries=*/false);
+    instance.Thaw();
+    stale = 0;
+    for (const WorkingSetRun& run : ws.runs) {
+      stale += vas.RegionLive(run.region) ? 0 : 1;
+    }
+  }
+  ASSERT_GT(stale, 0u);
+  std::vector<RegionId> stale_ids;
+  for (const WorkingSetRun& run : ws.runs) {
+    if (!vas.RegionLive(run.region)) {
+      stale_ids.push_back(run.region);
+    }
+  }
+  // Regrow the young generation: new chunks move into the parked slots, and
+  // the stale ids must stay dead.
+  for (int i = 0; i < 5; ++i) {
+    instance.Execute();
+  }
+  for (const RegionId id : stale_ids) {
+    EXPECT_FALSE(vas.RegionLive(id));
+  }
+  uint64_t expected = 0;
+  for (const WorkingSetRun& run : ws.runs) {
+    if (vas.RegionLive(run.region)) {
+      expected += vas.ResidentPagesInRange(run.region, PagesToBytes(run.first_page),
+                                           PagesToBytes(run.pages));
+    }
+  }
+  EXPECT_EQ(instance.ResidentPagesIn(ws), expected);
+  // The stale runs' slots hold regions mapped after the recording.
+  bool newer_region = false;
+  for (const RegionInfo& info : vas.Smaps()) {
+    newer_region |= info.id > newest_recorded;
+  }
+  EXPECT_TRUE(newer_region);
+}
+
 TEST(ChainStudyTest, StepSamplesAllStages) {
   StudyConfig config;
   ChainStudy study(*FindWorkload("mapreduce"), config);

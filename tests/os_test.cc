@@ -340,6 +340,49 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VasPropertyTest,
 // touching past a region, or operating on an unmapped one) must die loudly,
 // not silently clamp.
 
+// An unmapped region's slot serves the next mapping, but under a new id: ids
+// grow in creation order and a stale id never names the slot's next tenant.
+TEST(VasRegionLifecycleTest, StaleIdNeverNamesTheNextTenant) {
+  VirtualAddressSpace vas(nullptr);
+  const RegionId keep = vas.MapAnonymous("keep", 4 * kPageSize);
+  const RegionId old_id = vas.MapAnonymous("chunk", 4 * kPageSize);
+  vas.Touch(old_id, 0, 4 * kPageSize, /*write=*/true);
+  vas.Unmap(old_id);
+  EXPECT_FALSE(vas.RegionLive(old_id));
+  const RegionId new_id = vas.MapAnonymous("chunk", 4 * kPageSize);
+  EXPECT_GT(new_id, old_id);
+  EXPECT_TRUE(vas.RegionLive(new_id));
+  EXPECT_FALSE(vas.RegionLive(old_id));
+  EXPECT_EQ(vas.region_slots(), 2u);  // the parked slot was reused
+  EXPECT_EQ(vas.live_regions(), 2u);
+  // The reused slot starts out empty.
+  EXPECT_EQ(vas.ResidentPagesInRegion(new_id), 0u);
+  EXPECT_EQ(vas.RssBytes(), 0u);
+  // Creation order is id order, in smaps as in the ids themselves.
+  const auto smaps = vas.Smaps();
+  ASSERT_EQ(smaps.size(), 2u);
+  EXPECT_EQ(smaps[0].id, keep);
+  EXPECT_EQ(smaps[1].id, new_id);
+}
+
+TEST(VasRegionLifecycleTest, OrdinalIsPartOfTheSmapsName) {
+  VirtualAddressSpace vas(nullptr);
+  vas.MapAnonymous("v8_old/chunk", kChunkSize, 12);
+  vas.MapAnonymous("java_heap", kChunkSize);
+  const auto smaps = vas.Smaps();
+  ASSERT_EQ(smaps.size(), 2u);
+  EXPECT_EQ(smaps[0].name, "v8_old/chunk12");
+  EXPECT_EQ(smaps[1].name, "java_heap");
+}
+
+TEST(VasDeathTest, StaleIdAbortsAfterSlotReuse) {
+  VirtualAddressSpace vas(nullptr);
+  const RegionId old_id = vas.MapAnonymous("chunk", 4 * kPageSize);
+  vas.Unmap(old_id);
+  vas.MapAnonymous("chunk", 4 * kPageSize);
+  EXPECT_DEATH(vas.Touch(old_id, 0, kPageSize, /*write=*/true), "double Unmap/Decommit");
+}
+
 TEST(VasDeathTest, TouchOutOfRangeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   VirtualAddressSpace vas(nullptr);
